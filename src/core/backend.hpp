@@ -6,17 +6,22 @@
 // operand and s x s right operand — is delegated to a `GemmBackend`. Every
 // backend computes the same product through the same accounting path, so
 // the checker, lint, and fault layers are backend-agnostic; only the
-// wall-clock time (Device::wall_ns) and, for non-sim float backends, the
-// floating-point rounding may differ:
+// wall-clock time (Device::wall_ns) and, for blas, the floating-point
+// rounding may differ:
 //
-//   * sim   — the reference triple loop, bit-for-bit the historical
-//             engine (the default; every bit-identity test runs on it);
-//   * micro — a cache-blocked register-tiled kernel, with an AVX2 path
-//             for float/double dispatched at runtime. Each output
-//             element's k-summation order equals the reference loop's
-//             and the SIMD path uses separate mul/add (no FMA), so the
-//             results are bit-identical to sim for every T — integral
-//             exactness falls out as a special case;
+//   * micro — the default. float/double run a register-tiled kernel of
+//             4 rows x 2 SIMD vectors (double: 4x16 with AVX-512F, 4x8
+//             with AVX2; float twice as wide), picked once per backend
+//             from the running CPU (`micro_isa()`). Each output
+//             element's k-summation keeps the reference order with
+//             separate mul/add, so the results are bit-identical to sim.
+//             backend_micro.cpp must be compiled with -ffp-contract=off
+//             (CMakeLists.txt does so): avx512f implies FMA, and GCC
+//             would otherwise fuse the mul/add and round differently.
+//             Other element types, and CPUs without AVX2, run
+//             `reference_gemm`;
+//   * sim   — `reference_gemm`, the plain triple loop: the oracle that
+//             tests and benchmarks name explicitly;
 //   * blas  — vendor [sd]gemm behind -DTCU_BLAS=ON (float/double only);
 //             reassociates sums, so outputs are bounded-ulp, not
 //             bit-identical.
@@ -28,7 +33,6 @@
 // engine-detail fields (the systolic engine's cycle counts); the device
 // owns the charges.
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -49,9 +53,9 @@ using GemmFn = std::function<void(ConstMatrixView<T>, ConstMatrixView<T>,
                                   MatrixView<T>, bool, Counters&)>;
 
 enum class BackendKind {
-  kDefault,  ///< resolve via TCU_BACKEND env, falling back to kSim
-  kSim,      ///< reference triple loop (bit-for-bit historical results)
-  kMicro,    ///< blocked register-tiled microkernel (+ runtime AVX2)
+  kDefault,  ///< resolve via TCU_BACKEND env, falling back to kMicro
+  kSim,      ///< reference triple loop, the explicit oracle
+  kMicro,    ///< 4-row register-tiled AVX-512/AVX2 kernel, same bits as kSim
   kBlas,     ///< vendor BLAS, float/double, requires -DTCU_BLAS=ON
   kEngine,   ///< adapter around a caller-supplied GemmFn
 };
@@ -64,27 +68,71 @@ BackendKind parse_backend_kind(const std::string& name);
 const char* backend_kind_name(BackendKind kind);
 
 /// kDefault resolved: TCU_BACKEND if set (throwing on unparsable or
-/// unavailable values), else kSim. Other kinds pass through.
+/// unavailable values), else kMicro. Other kinds pass through.
 BackendKind resolve_backend_kind(BackendKind kind);
 
 /// True when the build can construct this kind for float/double (kBlas is
 /// only compiled in under -DTCU_BLAS=ON).
 bool backend_available(BackendKind kind);
 
-/// True when the running CPU takes the micro backend's AVX2 path.
-bool micro_simd_active();
+/// ISA tier the micro backend runs float/double on, detected once per
+/// process: "avx512" (AVX-512F), "avx2" or "scalar" (reference_gemm).
+const char* micro_isa();
+
+/// The reference product: C = A*B (or C += A*B) with each element's sum
+/// taken k-sequentially from C's old value (or zero). SimBackend runs it
+/// for every T and MicroBackend for T without a SIMD kernel; the micro
+/// kernels reproduce its rounding exactly. Kept out of line and aligned
+/// so both backends run one copy whose loops sit at a fixed offset in the
+/// cache line: inlined into each backend, the same loop ran 1.8x slower
+/// in one of them than in the other (int64, s = 64, bench_kernel).
+template <typename T>
+[[gnu::noinline, gnu::aligned(64)]] void reference_gemm(
+    ConstMatrixView<T> A, ConstMatrixView<T> B, MatrixView<T> C,
+    bool accumulate) {
+  const std::size_t n = A.rows;
+  const std::size_t s = B.rows;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < s; ++j) {
+      T acc = accumulate ? C(i, j) : T{};
+      for (std::size_t k = 0; k < s; ++k) acc += A(i, k) * B(k, j);
+      C(i, j) = acc;
+    }
+  }
+}
+
+// The float/double instances live in backend_micro.cpp, compiled with
+// -ffp-contract=off, so an includer built with FMA enabled (say
+// -march=native) cannot fuse the reference loop's mul/add either.
+extern template void reference_gemm<float>(ConstMatrixView<float>,
+                                           ConstMatrixView<float>,
+                                           MatrixView<float>, bool);
+extern template void reference_gemm<double>(ConstMatrixView<double>,
+                                            ConstMatrixView<double>,
+                                            MatrixView<double>, bool);
 
 namespace backend_detail {
 
-// AVX2 float/double kernels (backend_micro.cpp). `lda`/`ldb`/`ldc` are
-// row strides in elements; summation is k-sequential per element with
-// separate mul/add, so results are bit-identical to the reference loop.
-void micro_gemm_avx2(const float* a, std::size_t lda, const float* b,
-                     std::size_t ldb, float* c, std::size_t ldc,
-                     std::size_t n, std::size_t s, bool accumulate);
-void micro_gemm_avx2(const double* a, std::size_t lda, const double* b,
-                     std::size_t ldb, double* c, std::size_t ldc,
-                     std::size_t n, std::size_t s, bool accumulate);
+/// Raw float/double kernel over row-major operands: `lda`/`ldb`/`ldc` are
+/// row strides in elements, A is n x s, B is s x s, C is n x s.
+template <typename T>
+using MicroKernel = void (*)(const T* a, std::size_t lda, const T* b,
+                             std::size_t ldb, T* c, std::size_t ldc,
+                             std::size_t n, std::size_t s, bool accumulate);
+
+enum class MicroTier { kScalar, kAvx2, kAvx512 };
+
+/// The best tier the running CPU supports (cpuid, read once).
+MicroTier micro_tier();
+
+/// Kernel of `tier` for float/double (backend_micro.cpp); nullptr for
+/// kScalar, or when the target or the running CPU lacks the tier.
+template <typename T>
+MicroKernel<T> micro_kernel(MicroTier tier);
+template <>
+MicroKernel<float> micro_kernel<float>(MicroTier tier);
+template <>
+MicroKernel<double> micro_kernel<double>(MicroTier tier);
 
 #ifdef TCU_BLAS
 // Row-major [sd]gemm wrappers (backend_blas.cpp): C = A*B or C += A*B.
@@ -114,80 +162,56 @@ class GemmBackend {
                    MatrixView<T> C, bool accumulate, Counters& counters) = 0;
 };
 
-/// The reference loop — bit-for-bit the historical default engine.
+/// The reference loop: the oracle every other exact backend must match.
 template <typename T>
 class SimBackend final : public GemmBackend<T> {
  public:
   BackendKind kind() const override { return BackendKind::kSim; }
   void run(ConstMatrixView<T> A, ConstMatrixView<T> B, MatrixView<T> C,
            bool accumulate, Counters&) override {
-    const std::size_t n = A.rows;
-    const std::size_t s = B.rows;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < s; ++j) {
-        T acc = accumulate ? C(i, j) : T{};
-        for (std::size_t k = 0; k < s; ++k) acc += A(i, k) * B(k, j);
-        C(i, j) = acc;
-      }
-    }
+    reference_gemm(A, B, C, accumulate);
   }
 };
 
-/// Cache-blocked register-tiled kernel. The (i, j) output block keeps
-/// kMR x kNR accumulators in registers while k streams through in the
-/// reference order, so every element's sum order — and therefore its
-/// result, for any T — matches SimBackend exactly; only the wall clock
-/// changes. float/double additionally dispatch to the AVX2 path at
-/// runtime (j-vectorized, mul+add, still bit-identical).
+/// The default backend: float/double run the SIMD kernel of the tier
+/// chosen when the backend is built; every other T (and a CPU without
+/// AVX2) runs reference_gemm. Either way each element's sum order — and
+/// so its result — matches SimBackend exactly; only the wall clock
+/// changes.
 template <typename T>
 class MicroBackend final : public GemmBackend<T> {
+  static constexpr bool kSimd =
+      std::is_same_v<T, float> || std::is_same_v<T, double>;
+
  public:
-  static constexpr std::size_t kMR = 4;  ///< register block rows
-  static constexpr std::size_t kNR = 8;  ///< register block cols
+  MicroBackend() {
+    if constexpr (kSimd) {
+      kernel_ = backend_detail::micro_kernel<T>(backend_detail::micro_tier());
+    }
+  }
 
   BackendKind kind() const override { return BackendKind::kMicro; }
 
+  /// The tier this backend runs: micro_isa() for float/double, "scalar"
+  /// (reference_gemm) otherwise.
+  const char* isa() const {
+    return kernel_ != nullptr ? micro_isa() : "scalar";
+  }
+
   void run(ConstMatrixView<T> A, ConstMatrixView<T> B, MatrixView<T> C,
            bool accumulate, Counters&) override {
-    if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
-      if (micro_simd_active()) {
-        backend_detail::micro_gemm_avx2(A.data, A.stride, B.data, B.stride,
-                                        C.data, C.stride, A.rows, B.rows,
-                                        accumulate);
+    if constexpr (kSimd) {
+      if (kernel_ != nullptr) {
+        kernel_(A.data, A.stride, B.data, B.stride, C.data, C.stride, A.rows,
+                B.rows, accumulate);
         return;
       }
     }
-    blocked(A, B, C, accumulate);
+    reference_gemm(A, B, C, accumulate);
   }
 
  private:
-  static void blocked(ConstMatrixView<T> A, ConstMatrixView<T> B,
-                      MatrixView<T> C, bool accumulate) {
-    const std::size_t n = A.rows;
-    const std::size_t s = B.rows;
-    T acc[kMR][kNR];
-    for (std::size_t i0 = 0; i0 < n; i0 += kMR) {
-      const std::size_t ib = std::min(kMR, n - i0);
-      for (std::size_t j0 = 0; j0 < s; j0 += kNR) {
-        const std::size_t jb = std::min(kNR, s - j0);
-        for (std::size_t i = 0; i < ib; ++i) {
-          for (std::size_t j = 0; j < jb; ++j) {
-            acc[i][j] = accumulate ? C(i0 + i, j0 + j) : T{};
-          }
-        }
-        for (std::size_t k = 0; k < s; ++k) {
-          const T* brow = &B(k, j0);
-          for (std::size_t i = 0; i < ib; ++i) {
-            const T a = A(i0 + i, k);
-            for (std::size_t j = 0; j < jb; ++j) acc[i][j] += a * brow[j];
-          }
-        }
-        for (std::size_t i = 0; i < ib; ++i) {
-          for (std::size_t j = 0; j < jb; ++j) C(i0 + i, j0 + j) = acc[i][j];
-        }
-      }
-    }
-  }
+  backend_detail::MicroKernel<T> kernel_ = nullptr;
 };
 
 #ifdef TCU_BLAS

@@ -1,9 +1,8 @@
 // Backend-kind parsing and TCU_BACKEND resolution (core/backend.hpp).
 //
-// The sim backend itself is a header template (SimBackend) so it inlines
-// into every Device<T> instantiation exactly like the historical engine
-// lambda did; this TU holds the non-template selection machinery shared
-// by the env var, the CLI's --backend flag, and the tests.
+// The sim backend itself is a header template (SimBackend over
+// reference_gemm); this TU holds the non-template selection machinery
+// shared by the env var, the CLI's --backend flag, and the tests.
 
 #include "core/backend.hpp"
 
@@ -38,7 +37,7 @@ const char* backend_kind_name(BackendKind kind) {
 BackendKind resolve_backend_kind(BackendKind kind) {
   if (kind != BackendKind::kDefault) return kind;
   const char* env = std::getenv("TCU_BACKEND");
-  if (env == nullptr || *env == '\0') return BackendKind::kSim;
+  if (env == nullptr || *env == '\0') return BackendKind::kMicro;
   return parse_backend_kind(env);
 }
 

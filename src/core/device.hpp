@@ -11,9 +11,11 @@
 //   * In *weak* mode (Section 5) tall operands are split into square
 //     sqrt(m) x sqrt(m) calls, each charged m + l, reproducing the weak
 //     TCU model used for the lower-bound transfer of Theorem 12.
-//   * The numeric engine is pluggable: the default reference engine is a
-//     tight triple loop; `tcu::systolic` installs a cycle-level systolic
-//     array (Section 2.2 / Figure 1) that also reports cycle counts.
+//   * The numeric engine is pluggable (core/backend.hpp): the default
+//     `micro` backend is a register-tiled AVX-512/AVX2 kernel bit-identical
+//     to the `sim` reference triple loop; `tcu::systolic` installs a
+//     cycle-level systolic array (Section 2.2 / Figure 1) that also
+//     reports cycle counts.
 //
 // The device does not model limited numerical precision or multiple
 // parallel units; Section 3.1 of the paper explicitly scopes those out.
@@ -157,8 +159,9 @@ class Device {
     std::size_t resident_tiles = 1;  ///< LRU capacity c of the tile cache
     std::string name = "tcu";
     /// Numeric backend executing the charged products (core/backend.hpp);
-    /// kDefault honors the TCU_BACKEND env var and falls back to sim, the
-    /// bit-for-bit historical engine. Model charges are backend-invariant.
+    /// kDefault honors the TCU_BACKEND env var and falls back to micro,
+    /// whose outputs are bit-identical to sim's reference loop. Model
+    /// charges are backend-invariant.
     BackendKind backend = BackendKind::kDefault;
   };
 
@@ -320,22 +323,6 @@ class Device {
   void enable_trace(bool on = true) { tracing_ = on; }
   bool tracing() const { return tracing_; }
   const Trace& trace() const { return trace_; }
-
-  /// Default numeric engine: straightforward triple loop.
-  static Engine reference_engine() {
-    return [](ConstMatrixView<T> A, ConstMatrixView<T> B, MatrixView<T> C,
-              bool accumulate, Counters&) {
-      const std::size_t n = A.rows;
-      const std::size_t s = B.rows;
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < s; ++j) {
-          T acc = accumulate ? C(i, j) : T{};
-          for (std::size_t k = 0; k < s; ++k) acc += A(i, k) * B(k, j);
-          C(i, j) = acc;
-        }
-      }
-    };
-  }
 
  private:
   void validate_shapes(ConstMatrixView<T> A, ConstMatrixView<T> B,

@@ -1,7 +1,7 @@
 // Backend equivalence: the GemmBackend seam must be invisible to the
 // model. Every backend runs beneath the same Device::issue() accounting,
 // so swapping sim -> micro (-> blas when compiled in) changes only the
-// wall clock: integral and — because the micro kernel keeps the
+// wall clock: integral and — because every micro ISA tier keeps the
 // reference k-summation order with no FMA — floating outputs are
 // bit-identical, and every Counters field matches exactly. BLAS
 // reassociates, so its float/double outputs are bounded-ulp instead.
@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "check/contract.hpp"
 #include "core/backend.hpp"
@@ -24,6 +28,7 @@
 namespace {
 
 using tcu::BackendKind;
+using tcu::backend_detail::MicroTier;
 using tcu::Counters;
 using tcu::Device;
 using tcu::DevicePool;
@@ -77,25 +82,46 @@ TEST(BackendSelect, ParserAndNamesRoundTrip) {
   EXPECT_STREQ(tcu::backend_kind_name(BackendKind::kBlas), "blas");
 }
 
-TEST(BackendSelect, DefaultIsSimAndEnvOverrides) {
+TEST(BackendSelect, DefaultIsMicroAndEnvOverrides) {
+  // Restored at the end: a suite rerun under TCU_BACKEND=sim keeps it
+  // for the tests after this one.
+  const char* outer = std::getenv("TCU_BACKEND");
+  const bool had_outer = outer != nullptr;
+  const std::string saved = had_outer ? outer : "";
   unsetenv("TCU_BACKEND");
-  {
-    Device<double> dev({.m = 16});
-    EXPECT_STREQ(dev.backend_name(), "sim");
-  }
-  setenv("TCU_BACKEND", "micro", 1);
   {
     Device<double> dev({.m = 16});
     EXPECT_STREQ(dev.backend_name(), "micro");
   }
+  setenv("TCU_BACKEND", "sim", 1);
+  {
+    Device<double> dev({.m = 16});
+    EXPECT_STREQ(dev.backend_name(), "sim");
+  }
   // An explicit kind wins over the env.
   {
-    Device<double> dev({.m = 16, .backend = BackendKind::kSim});
-    EXPECT_STREQ(dev.backend_name(), "sim");
+    Device<double> dev({.m = 16, .backend = BackendKind::kMicro});
+    EXPECT_STREQ(dev.backend_name(), "micro");
   }
   setenv("TCU_BACKEND", "warp9", 1);
   EXPECT_THROW(Device<double>({.m = 16}), std::invalid_argument);
-  unsetenv("TCU_BACKEND");
+  if (had_outer) {
+    setenv("TCU_BACKEND", saved.c_str(), 1);
+  } else {
+    unsetenv("TCU_BACKEND");
+  }
+}
+
+TEST(BackendSelect, MicroIsaNamesATier) {
+  const std::string isa = tcu::micro_isa();
+  EXPECT_TRUE(isa == "avx512" || isa == "avx2" || isa == "scalar") << isa;
+  // The tier is fixed per process; element types without a SIMD kernel
+  // always run the reference loop.
+  EXPECT_STREQ(tcu::MicroBackend<double>().isa(), tcu::micro_isa());
+  EXPECT_STREQ(tcu::MicroBackend<float>().isa(), tcu::micro_isa());
+  EXPECT_STREQ(tcu::MicroBackend<std::int64_t>().isa(), "scalar");
+  EXPECT_EQ(tcu::backend_detail::micro_kernel<double>(MicroTier::kScalar),
+            nullptr);
 }
 
 TEST(BackendSelect, UnavailableBlasFailsLoudly) {
@@ -107,7 +133,13 @@ TEST(BackendSelect, UnavailableBlasFailsLoudly) {
 }
 
 TEST(BackendSelect, EngineCtorStaysOnTheSeam) {
-  Device<double> dev({.m = 16}, tcu::Device<double>::reference_engine());
+  Device<double> dev({.m = 16},
+                     [](tcu::ConstMatrixView<double> a,
+                        tcu::ConstMatrixView<double> b,
+                        tcu::MatrixView<double> c, bool accumulate,
+                        Counters&) {
+                       tcu::reference_gemm(a, b, c, accumulate);
+                     });
   EXPECT_STREQ(dev.backend_name(), "engine");
   EXPECT_THROW(Device<double>({.m = 16}, tcu::Device<double>::Engine{}),
                std::invalid_argument);
@@ -127,7 +159,7 @@ void serial_identity_case(const Matrix<T>& a, const Matrix<T>& b) {
 
 TEST(BackendEquivalence, MicroMatchesSimSerial) {
   // Aligned and ragged shapes: the ragged path exercises the micro
-  // kernel's partial register blocks (n, s not multiples of kMR/kNR).
+  // kernel's row and column tails (n, s off the 4-row x 2-vector tile).
   serial_identity_case(random_matrix(32, 32, 501), random_matrix(32, 32, 502));
   serial_identity_case(random_matrix(40, 24, 503), random_matrix(24, 40, 504));
   serial_identity_case(random_int_matrix(32, 32, 505),
@@ -136,26 +168,187 @@ TEST(BackendEquivalence, MicroMatchesSimSerial) {
                        random_int_matrix(19, 33, 508));
 }
 
-TEST(BackendEquivalence, MicroKernelTailsMatchReference) {
-  // Drive the raw kernels at shapes that stress every tail: n and s off
-  // the 4x8 register grid and off the AVX2 vector width.
-  for (const auto [n, s] : {std::pair<std::size_t, std::size_t>{4, 4},
-                            {13, 8},
-                            {32, 16},
-                            {37, 25}}) {
-    auto a = random_matrix(n, s, 600 + n);
-    auto b = random_matrix(s, s, 700 + s);
-    Matrix<double> c_sim(n, s, 1.5), c_micro(n, s, 1.5);
-    Counters unused;
-    tcu::SimBackend<double> sim;
-    tcu::MicroBackend<double> micro;
-    for (const bool accumulate : {false, true}) {
-      sim.run(a.view(), b.view(), c_sim.view(), accumulate, unused);
-      micro.run(a.view(), b.view(), c_micro.view(), accumulate, unused);
-      EXPECT_EQ(c_sim, c_micro) << "n=" << n << " s=" << s
-                                << " accumulate=" << accumulate;
+// ------------------------------------------------- kernel exactness
+
+// Shapes off every register grid: n around the 4-row tile, s around the
+// AVX2 and AVX-512 vector widths (4/8 doubles, 8/16 floats) and their
+// 2-vector tiles.
+constexpr std::size_t kTierRows[] = {1, 3, 4, 5, 13, 37};
+constexpr std::size_t kTierCols[] = {1,  4,  7,  8,  9,  15, 16,
+                                     17, 25, 31, 32, 33, 64};
+
+template <typename T>
+T random_value(tcu::util::Xoshiro256& rng) {
+  if constexpr (std::is_integral_v<T>) {
+    return static_cast<T>(rng.uniform_int(-9, 9));
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return static_cast<T>(rng.uniform(-1, 1));
+  } else {
+    return T{rng.uniform(-1, 1), rng.uniform(-1, 1)};
+  }
+}
+
+/// rows x cols values at a row stride of cols + pad; the pad columns are
+/// filled too, so a kernel writing outside its view shows up as a
+/// mismatch against the reference buffer.
+template <typename T>
+struct Strided {
+  std::size_t rows, cols, stride;
+  std::vector<T> buf;
+
+  Strided(std::size_t r, std::size_t c, std::size_t pad,
+          tcu::util::Xoshiro256& rng)
+      : rows(r), cols(c), stride(c + pad), buf(r * (c + pad)) {
+    for (auto& x : buf) x = random_value<T>(rng);
+  }
+  tcu::MatrixView<T> view() {
+    return tcu::MatrixView<T>(buf.data(), rows, cols, stride);
+  }
+  tcu::ConstMatrixView<T> cview() const {
+    return tcu::ConstMatrixView<T>(buf.data(), rows, cols, stride);
+  }
+  bool bits_equal(const Strided& o) const {
+    return std::memcmp(buf.data(), o.buf.data(), buf.size() * sizeof(T)) == 0;
+  }
+};
+
+/// Runs `product(A, B, C, accumulate)` against reference_gemm over the
+/// whole shape grid, contiguous and strided, overwrite and accumulate,
+/// and compares every byte of C's storage.
+template <typename T, typename Product>
+void expect_matches_reference(Product product) {
+  tcu::util::Xoshiro256 rng(4242);
+  for (const std::size_t n : kTierRows) {
+    for (const std::size_t s : kTierCols) {
+      for (const std::size_t pad : {0u, 3u}) {
+        for (const bool accumulate : {false, true}) {
+          const Strided<T> a(n, s, pad, rng);
+          const Strided<T> b(s, s, 2 * pad, rng);
+          Strided<T> want(n, s, pad + 1, rng);
+          Strided<T> got = want;
+          tcu::reference_gemm(a.cview(), b.cview(), want.view(), accumulate);
+          product(a.cview(), b.cview(), got.view(), accumulate);
+          EXPECT_TRUE(got.bits_equal(want))
+              << "n=" << n << " s=" << s << " pad=" << pad
+              << " accumulate=" << accumulate;
+        }
+      }
     }
   }
+}
+
+template <typename T>
+void expect_tier_exact(MicroTier tier) {
+  const auto kernel = tcu::backend_detail::micro_kernel<T>(tier);
+  if (kernel == nullptr) GTEST_SKIP() << "tier not supported by this CPU";
+  expect_matches_reference<T>([kernel](tcu::ConstMatrixView<T> a,
+                                       tcu::ConstMatrixView<T> b,
+                                       tcu::MatrixView<T> c, bool acc) {
+    kernel(a.data, a.stride, b.data, b.stride, c.data, c.stride, a.rows,
+           b.rows, acc);
+  });
+}
+
+/// Inputs whose bits expose a product that rounds differently from the
+/// reference loop: row i of A is [1, x, 0, ...] and B's first two rows
+/// are -1 and y, with x*y = 1 - d^2 just below 1. Separate mul and add
+/// give -1 + round(x*y) = -1 + 1 = +0; a fused multiply-add gives -d^2.
+/// Then A = -0 against B = 1 into C = -0, which only keeps its sign if
+/// the product broadcasts A's -0 as -0.
+template <typename T, typename Product>
+void expect_rounds_unfused(Product product) {
+  const T d = std::is_same_v<T, double> ? T(0x1p-30) : T(0x1p-15);
+  const T x = 1 + d;
+  const T y = 1 - d;
+  ASSERT_NE(std::fma(x, y, T(-1)), T(0)) << "input does not expose FMA";
+  for (const std::size_t n : {1u, 5u, 13u}) {
+    for (const std::size_t s : {2u, 17u, 33u}) {
+      Matrix<T> a(n, s), b(s, s), c(n, s, T(7));
+      for (std::size_t i = 0; i < n; ++i) {
+        a(i, 0) = 1;
+        a(i, 1) = x;
+      }
+      for (std::size_t j = 0; j < s; ++j) {
+        b(0, j) = -1;
+        b(1, j) = y;
+      }
+      product(std::as_const(a).view(), std::as_const(b).view(), c.view(),
+              false);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < s; ++j) {
+          ASSERT_EQ(c(i, j), T(0)) << "contracted at n=" << n << " s=" << s;
+          ASSERT_FALSE(std::signbit(c(i, j)));
+        }
+      }
+      a.fill(T(-0.0));
+      b.fill(T(1));
+      c.fill(T(-0.0));
+      product(std::as_const(a).view(), std::as_const(b).view(), c.view(),
+              true);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < s; ++j) {
+          ASSERT_TRUE(std::signbit(c(i, j)))
+              << "-0 lost at n=" << n << " s=" << s;
+        }
+      }
+    }
+  }
+}
+
+template <typename T>
+void expect_tier_rounds_like_reference(MicroTier tier) {
+  const auto kernel = tcu::backend_detail::micro_kernel<T>(tier);
+  if (kernel == nullptr) GTEST_SKIP() << "tier not supported by this CPU";
+  expect_rounds_unfused<T>([kernel](tcu::ConstMatrixView<T> a,
+                                    tcu::ConstMatrixView<T> b,
+                                    tcu::MatrixView<T> c, bool acc) {
+    kernel(a.data, a.stride, b.data, b.stride, c.data, c.stride, a.rows,
+           b.rows, acc);
+  });
+}
+
+TEST(MicroKernelExactness, ReferenceLoopRoundsUnfused) {
+  // The oracle itself: its float/double instances are compiled without
+  // contraction whatever flags the includer uses.
+  expect_rounds_unfused<double>(&tcu::reference_gemm<double>);
+  expect_rounds_unfused<float>(&tcu::reference_gemm<float>);
+}
+
+TEST(MicroKernelExactness, Avx512DoubleMatchesReference) {
+  expect_tier_exact<double>(MicroTier::kAvx512);
+}
+TEST(MicroKernelExactness, Avx512FloatMatchesReference) {
+  expect_tier_exact<float>(MicroTier::kAvx512);
+}
+TEST(MicroKernelExactness, Avx2DoubleMatchesReference) {
+  expect_tier_exact<double>(MicroTier::kAvx2);
+}
+TEST(MicroKernelExactness, Avx2FloatMatchesReference) {
+  expect_tier_exact<float>(MicroTier::kAvx2);
+}
+TEST(MicroKernelExactness, Avx512RoundsLikeReference) {
+  expect_tier_rounds_like_reference<double>(MicroTier::kAvx512);
+  expect_tier_rounds_like_reference<float>(MicroTier::kAvx512);
+}
+TEST(MicroKernelExactness, Avx2RoundsLikeReference) {
+  expect_tier_rounds_like_reference<double>(MicroTier::kAvx2);
+  expect_tier_rounds_like_reference<float>(MicroTier::kAvx2);
+}
+
+template <typename T>
+void expect_micro_backend_exact() {
+  tcu::MicroBackend<T> micro;
+  Counters unused;
+  expect_matches_reference<T>(
+      [&](tcu::ConstMatrixView<T> a, tcu::ConstMatrixView<T> b,
+          tcu::MatrixView<T> c, bool acc) { micro.run(a, b, c, acc, unused); });
+}
+
+TEST(MicroKernelExactness, MicroBackendMatchesReferenceForEveryType) {
+  expect_micro_backend_exact<double>();
+  expect_micro_backend_exact<float>();
+  expect_micro_backend_exact<std::int64_t>();
+  expect_micro_backend_exact<std::complex<double>>();
 }
 
 // --------------------------------------------------- pooled bit-identity

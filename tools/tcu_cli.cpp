@@ -46,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "core/backend.hpp"
 #include "core/costs.hpp"
 #include "core/pool.hpp"
 #include "dft/dft.hpp"
@@ -555,8 +556,13 @@ int pool_drive(const PoolOptions& po, Serial serial, Pooled pooled) {
   for (std::size_t u = 0; u < pool.size(); ++u) {
     pool_wall += pool.unit(u).wall_ns();
   }
+  std::string backend = ref.backend_name();
+  if (const auto* micro =
+          dynamic_cast<const tcu::MicroBackend<T>*>(&ref.backend())) {
+    backend += std::string(" (isa ") + micro->isa() + ")";
+  }
   const auto serial_time = static_cast<double>(ref.counters().time());
-  std::cout << "  backend              : " << ref.backend_name() << "\n"
+  std::cout << "  backend              : " << backend << "\n"
             << "  serial model time    : " << ref.counters().time()
             << "  (wall " << ref.wall_ns() << " ns)\n"
             << "  pool makespan        : " << pool.makespan()
