@@ -66,7 +66,8 @@ void BM_StrassenPool(benchmark::State& state) {
   tcu::Matrix<double> got;
   for (auto _ : state) {
     pool.reset();
-    got = tcu::linalg::matmul_strassen_tcu_pool(pool, a.view(), b.view());
+    tcu::PoolExecutor<double> exec(pool);
+    got = tcu::linalg::matmul_strassen_tcu_pool(exec, a.view(), b.view());
     benchmark::DoNotOptimize(got.data());
   }
   const bool match =
@@ -90,8 +91,9 @@ void BM_ClosurePool(benchmark::State& state) {
   tcu::graph::AdjMatrix pool_d(0, 0);
   for (auto _ : state) {
     pool.reset();
+    tcu::PoolExecutor<tcu::graph::Vert> exec(pool);
     pool_d = adj;
-    tcu::graph::closure_tcu(pool, pool_d.view());
+    tcu::graph::closure_tcu(exec, pool_d.view());
     benchmark::DoNotOptimize(pool_d.data());
   }
   const bool match =
@@ -126,8 +128,9 @@ void BM_ApsdPool(benchmark::State& state) {
   tcu::DevicePool<std::int64_t> pool(units, {.m = m, .latency = kEll});
   tcu::Matrix<std::int64_t> got;
   for (auto _ : state) {
+    tcu::PoolExecutor<std::int64_t> exec(pool);
     pool.reset();
-    got = tcu::graph::apsd_seidel(pool, adj.view());
+    got = tcu::graph::apsd_seidel(exec, adj.view());
     benchmark::DoNotOptimize(got.data());
   }
   const bool match =
@@ -159,8 +162,9 @@ void BM_DftPool(benchmark::State& state) {
   tcu::Matrix<Complex> pool_batch;
   for (auto _ : state) {
     pool.reset();
+    tcu::PoolExecutor<Complex> exec(pool);
     pool_batch = input;
-    tcu::dft::dft_batch_tcu(pool, pool_batch.view());
+    tcu::dft::dft_batch_tcu(exec, pool_batch.view());
     benchmark::DoNotOptimize(pool_batch.data());
   }
   // Contract: identical bits, identical counters except the per-unit
@@ -237,7 +241,8 @@ void BM_StencilPool(benchmark::State& state) {
   tcu::Matrix<double> got;
   for (auto _ : state) {
     pool.reset();
-    got = tcu::stencil::stencil_tcu_pool(pool, grid.view(), w, k);
+    tcu::PoolExecutor<Complex> exec(pool);
+    got = tcu::stencil::stencil_tcu_pool(exec, grid.view(), w, k);
     benchmark::DoNotOptimize(got.data());
   }
   const tcu::Counters agg = pool.aggregate();
@@ -272,7 +277,8 @@ void BM_GePool(benchmark::State& state) {
   for (auto _ : state) {
     pool.reset();
     got = c0;
-    tcu::linalg::ge_forward_tcu_pool(pool, got.view());
+    tcu::PoolExecutor<double> exec(pool);
+    tcu::linalg::ge_forward_tcu_pool(exec, got.view());
     benchmark::DoNotOptimize(got.data());
   }
   // Kernel-D keys are unique per (pivot, block column), so the pool

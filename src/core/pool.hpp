@@ -122,14 +122,6 @@ struct PoolRecoveryOptions {
   std::size_t max_attempts = 4;
 };
 
-/// Which join discipline a pooled workload drives the executor with.
-/// `kBarrier` is the historical schedule: a strict `join()` after every
-/// algorithmic round, bit-identical to PR 7. `kEpoch` replaces the
-/// intermediate barriers with `join_epoch()` virtual barriers and
-/// explicit task dependencies, overlapping rounds across lanes while the
-/// per-lane schedules (and therefore every counter) stay deterministic.
-enum class ExecMode { kBarrier, kEpoch };
-
 /// Explicit predecessor set for a dependent task: the serials (returned
 /// as `TaskTicket::serial`) of every task that must retire before this
 /// one may start. Serials must come from earlier submits on the same
@@ -373,7 +365,7 @@ class PoolExecutor {
   /// untagged calls clobber it). `cpu_cost` is the exact cpu_ops the task
   /// will charge to its unit (`unit.charge_cpu`); it joins the lane's
   /// greedy projection because CPU work occupies the unit's timeline in
-  /// `makespan()` exactly like tensor time. This is how epoch-mode
+  /// `makespan()` exactly like tensor time. This is how the pooled
   /// workloads move per-round kernel work off the shared (serial) CPU
   /// counter and onto the units, where it parallelizes.
   TaskTicket submit_cpu(std::uint64_t cpu_cost, TaskDeps deps, Task task) {

@@ -59,21 +59,6 @@ struct DftOptions {
   /// The stencil pipelines (§4.6), whose batched transforms re-visit the
   /// same levels many times per call, turn this on.
   bool affinity = false;
-  /// Pool-path scheduling (ignored on the serial path). `kEpoch`
-  /// (default): each level's chunk fuses its gather, tall tensor product,
-  /// and twiddle/scatter into one unit task with the glue CPU charged to
-  /// the executing unit, levels are separated by virtual barriers
-  /// (`join_epoch`) instead of strict joins, and the recursion read-outs
-  /// run as fenced CPU tasks — the whole transform is one non-barrier
-  /// round, strict-joined only at the public API boundary and before
-  /// submit-thread reads (transposes, Bluestein glue, pointwise
-  /// products). `kBarrier`: the historical schedule — glue CPU on the
-  /// shared counter, a strict join per level. Output bits, tensor
-  /// counters, and aggregate cpu_ops are identical in both modes; only
-  /// the split of cpu_ops between the shared CPU and the units moves,
-  /// which is exactly what un-bounds the pool speedup from the serial
-  /// glue (see bench_pool_algos).
-  ExecMode mode = ExecMode::kEpoch;
 };
 
 /// Naive O(n^2) DFT on the RAM model (test oracle and small baseline).
@@ -96,19 +81,21 @@ void dft_batch_tcu(CplxDevice& dev, MatrixView<Complex> batch,
 void idft_batch_tcu(CplxDevice& dev, MatrixView<Complex> batch,
                     const DftOptions& opts = {});
 
-/// Multi-unit batched DFT: each Cooley-Tukey level's single tall tensor
-/// product is split into contiguous row chunks (boundaries on multiples
-/// of sqrt(m)) dealt across the pool's units. Output bits and every
-/// counter except the call count and latency term match the serial path
-/// exactly: a k-way split issues k tall calls instead of one and each
-/// unit re-loads the level's Fourier tile, costing (k - 1) * l extra
-/// latency per level — the model's inherent cost of parallelizing one
-/// call. A 1-unit pool reproduces the serial counters bit-for-bit.
-void dft_batch_tcu(DevicePool<Complex>& pool, MatrixView<Complex> batch);
-void idft_batch_tcu(DevicePool<Complex>& pool, MatrixView<Complex> batch);
-
-/// Same, over a caller-owned persistent executor (one thread spawn for
-/// the whole recursion / a stream of transforms).
+/// Multi-unit batched DFT over a caller-owned persistent executor (one
+/// thread spawn for the whole recursion / a stream of transforms). Each
+/// Cooley-Tukey level's tall tensor product is split into contiguous row
+/// chunks (boundaries on multiples of sqrt(m)); each chunk is one unit
+/// task that fuses its gather, tall call and twiddle/scatter, with that
+/// glue CPU charged to the executing unit. Levels are separated by
+/// virtual barriers (`join_epoch`), the recursion read-outs run as fenced
+/// CPU tasks, and the call strict-joins only before submit-thread reads
+/// (transposes, Bluestein glue, pointwise products) and on return.
+/// Output bits and every aggregate counter except the call count and
+/// latency term match the serial path exactly: a k-way split issues k
+/// tall calls instead of one and each unit re-loads the level's Fourier
+/// tile, costing (k - 1) * l extra latency per level — the model's
+/// inherent cost of parallelizing one call. A 1-unit pool reproduces the
+/// serial counters bit-for-bit.
 void dft_batch_tcu(PoolExecutor<Complex>& exec, MatrixView<Complex> batch,
                    const DftOptions& opts = {});
 void idft_batch_tcu(PoolExecutor<Complex>& exec, MatrixView<Complex> batch,

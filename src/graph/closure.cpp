@@ -129,72 +129,11 @@ void closure_tcu_divisible(Device<Vert>& dev, MatrixView<Vert> X) {
   }
 }
 
-/// Pool variant: kernels A/B/C (pivot row/column, boolean, CPU-bound) run
-/// on the submitting thread against the shared CPU counter; the kernel D
-/// update of each block column j != k — two tall GEMMs plus clamps on a
-/// panel disjoint from every other j — is one pool task. The barrier per
-/// pivot iteration is required (iteration k+1 reads blocks D just wrote),
-/// and the persistent executor makes it cheap: no thread churn across the
-/// n/sqrt(m) iterations.
-void closure_pool_divisible(PoolExecutor<Vert>& exec, MatrixView<Vert> X) {
-  DevicePool<Vert>& pool = exec.pool();
-  const Device<Vert>& unit0 = pool.unit(0);
-  const std::size_t n = X.rows;
-  const std::size_t s = unit0.tile_dim();
-  const std::size_t t = n / s;
-  const std::uint64_t s3 = static_cast<std::uint64_t>(s) * s * s;
-  for (std::size_t kb = 0; kb < t; ++kb) {
-    auto diag = X.subview(kb * s, kb * s, s, s);
-    kernel_a(diag);
-    pool.charge_cpu(s3);
-    for (std::size_t jb = 0; jb < t; ++jb) {
-      if (jb != kb) {
-        kernel_b(X.subview(kb * s, jb * s, s, s), diag);
-        pool.charge_cpu(s3);
-      }
-    }
-    for (std::size_t ib = 0; ib < t; ++ib) {
-      if (ib != kb) {
-        kernel_c(X.subview(ib * s, kb * s, s, s), diag);
-        pool.charge_cpu(s3);
-      }
-    }
-    // All D tasks of this pivot iteration carry the same panel height, so
-    // the greedy dealer splits them round-robin over the units.
-    std::uint64_t cost = 0;
-    if (kb > 0) cost += projected_gemm_cost(unit0, kb * s);
-    if (kb + 1 < t) cost += projected_gemm_cost(unit0, n - (kb + 1) * s);
-    for (std::size_t jb = 0; jb < t; ++jb) {
-      if (jb == kb) continue;
-      exec.submit(cost, [X, kb, jb, s, t, n](Device<Vert>& unit) {
-        auto weight = X.subview(kb * s, jb * s, s, s);
-        if (kb > 0) {
-          // tcu-lint: untagged-ok(plain-submit task; weight mutated per pivot)
-          unit.gemm(X.subview(0, kb * s, kb * s, s), weight,
-                    X.subview(0, jb * s, kb * s, s), /*accumulate=*/true);
-          clamp_block(X.subview(0, jb * s, kb * s, s));
-          unit.charge_cpu(static_cast<std::uint64_t>(kb) * s * s);
-        }
-        if (kb + 1 < t) {
-          const std::size_t top = (kb + 1) * s;
-          // tcu-lint: untagged-ok(plain-submit task; weight mutated per pivot)
-          unit.gemm(X.subview(top, kb * s, n - top, s), weight,
-                    X.subview(top, jb * s, n - top, s), /*accumulate=*/true);
-          clamp_block(X.subview(top, jb * s, n - top, s));
-          unit.charge_cpu(static_cast<std::uint64_t>(n - top) * s);
-        }
-      });
-    }
-    exec.join();
-  }
-}
-
-/// Epoch-mode pool variant: one dependency-ordered round for the whole
-/// closure, with a single strict join at the end. The per-pivot barrier
-/// over-synchronized two ways — it kept kernels A/B/C on the shared
-/// (serial) CPU counter, Amdahl-bounding the pool, and it idled lanes on
-/// work only the pivot panels actually order. Here every kernel is a
-/// `submit_cpu` unit task and each task declares its true predecessors.
+/// Pool variant: one dependency-ordered round for the whole closure, with
+/// a single strict join at the end. No barrier fences the pivots: every
+/// kernel is a `submit_cpu` unit task (so A/B/C run on the lanes rather
+/// than on the submitting thread) and each task declares its true
+/// predecessors.
 /// With writer(i,j) = the last pivot's task that wrote block (i,j)
 /// (D(k-1,j) for most blocks, B(k-1,j) / C(k-1,i) for the old pivot row
 /// and column):
@@ -301,46 +240,15 @@ void closure_pool_epoch(PoolExecutor<Vert>& exec, MatrixView<Vert> X) {
   exec.join();
 }
 
-}  // namespace
-
-void closure_tcu(Device<Vert>& dev, MatrixView<Vert> d) {
+/// Runs `run` on `d`, or, when n is not a multiple of the tile side s,
+/// on a copy padded with isolated vertices (no edges): they cannot create
+/// paths, so the closure restricted to the original vertices is
+/// unchanged. The two copies are charged to `sink`.
+template <class Sink, class Run>
+void closure_padded(MatrixView<Vert> d, std::size_t s, Sink& sink, Run run) {
   const std::size_t n = d.rows;
   if (d.cols != n) throw std::invalid_argument("closure_tcu: square input");
   if (n == 0) return;
-  const std::size_t s = dev.tile_dim();
-  if (n % s == 0) {
-    closure_tcu_divisible(dev, d);
-    return;
-  }
-  // Pad with isolated vertices (no edges): they cannot create paths, so
-  // the closure restricted to the original vertices is unchanged.
-  const std::size_t np = ((n + s - 1) / s) * s;
-  AdjMatrix padded(np, np, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) padded(i, j) = d(i, j);
-  }
-  dev.charge_cpu(np * np);
-  closure_tcu_divisible(dev, padded.view());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) d(i, j) = padded(i, j);
-  }
-  dev.charge_cpu(n * n);
-}
-
-void closure_tcu(PoolExecutor<Vert>& exec, MatrixView<Vert> d,
-                 ExecMode mode) {
-  const std::size_t n = d.rows;
-  if (d.cols != n) throw std::invalid_argument("closure_tcu: square input");
-  if (n == 0) return;
-  DevicePool<Vert>& pool = exec.pool();
-  const std::size_t s = pool.unit(0).tile_dim();
-  const auto run = [&](MatrixView<Vert> X) {
-    if (mode == ExecMode::kEpoch) {
-      closure_pool_epoch(exec, X);
-    } else {
-      closure_pool_divisible(exec, X);
-    }
-  };
   if (n % s == 0) {
     run(d);
     return;
@@ -350,17 +258,27 @@ void closure_tcu(PoolExecutor<Vert>& exec, MatrixView<Vert> d,
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) padded(i, j) = d(i, j);
   }
-  pool.charge_cpu(np * np);
+  sink.charge_cpu(np * np);
   run(padded.view());
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) d(i, j) = padded(i, j);
   }
-  pool.charge_cpu(n * n);
+  sink.charge_cpu(n * n);
 }
 
-void closure_tcu(DevicePool<Vert>& pool, MatrixView<Vert> d, ExecMode mode) {
-  PoolExecutor<Vert> exec(pool);
-  closure_tcu(exec, d, mode);
+}  // namespace
+
+void closure_tcu(Device<Vert>& dev, MatrixView<Vert> d) {
+  closure_padded(d, dev.tile_dim(), dev, [&](MatrixView<Vert> X) {
+    closure_tcu_divisible(dev, X);
+  });
+}
+
+void closure_tcu(PoolExecutor<Vert>& exec, MatrixView<Vert> d) {
+  DevicePool<Vert>& pool = exec.pool();
+  closure_padded(d, pool.unit(0).tile_dim(), pool, [&](MatrixView<Vert> X) {
+    closure_pool_epoch(exec, X);
+  });
 }
 
 AdjMatrix closure_bfs_oracle(ConstMatrixView<Vert> adjacency) {

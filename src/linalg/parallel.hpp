@@ -465,18 +465,6 @@ std::vector<TaskTicket> matmul_tcu_pool_strips(
   return tickets;
 }
 
-/// C = A * B across the pool's units with a throwaway executor (spawns and
-/// joins the worker threads). Prefer the PoolExecutor overload in loops.
-template <typename T>
-void matmul_tcu_pool_into(DevicePool<T>& pool,
-                          std::type_identity_t<ConstMatrixView<T>> A,
-                          std::type_identity_t<ConstMatrixView<T>> B,
-                          std::type_identity_t<MatrixView<T>> C,
-                          PoolMatmulOptions opts = {}) {
-  PoolExecutor<T> exec(pool);
-  matmul_tcu_pool_into(exec, A, B, C, opts);
-}
-
 /// Allocating wrapper over the persistent-executor path.
 template <typename T>
 Matrix<T> matmul_tcu_pool(PoolExecutor<T>& exec,
@@ -485,17 +473,6 @@ Matrix<T> matmul_tcu_pool(PoolExecutor<T>& exec,
                           PoolMatmulOptions opts = {}) {
   Matrix<T> C(A.rows, B.cols, T{});
   matmul_tcu_pool_into(exec, A, B, C.view(), opts);
-  return C;
-}
-
-/// Allocating wrapper for `matmul_tcu_pool_into`.
-template <typename T>
-Matrix<T> matmul_tcu_pool(DevicePool<T>& pool,
-                          std::type_identity_t<ConstMatrixView<T>> A,
-                          std::type_identity_t<ConstMatrixView<T>> B,
-                          PoolMatmulOptions opts = {}) {
-  Matrix<T> C(A.rows, B.cols, T{});
-  matmul_tcu_pool_into(pool, A, B, C.view(), opts);
   return C;
 }
 

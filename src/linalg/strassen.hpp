@@ -282,7 +282,7 @@ Matrix<T> strassen_run_plan(PoolExecutor<T>& exec, StrassenLeafPlan<T>& plan,
 
 }  // namespace detail
 
-/// Theorem 1 on a DevicePool: the Strassen-like recursion's linear work
+/// Theorem 1 on a pool executor: the Strassen-like recursion's linear work
 /// runs on the shared CPU while all leaf tile-GEMMs of the call tree are
 /// dealt across the pool's worker threads. Output bits and aggregate
 /// counters are identical to the single-device `matmul_strassen_tcu`; the
@@ -341,16 +341,6 @@ Matrix<T> matmul_strassen_tcu_pool(PoolExecutor<T>& exec,
   }
   pool.charge_cpu(d * d);
   return C;
-}
-
-/// DevicePool convenience overload (throwaway executor per call).
-template <typename T>
-Matrix<T> matmul_strassen_tcu_pool(DevicePool<T>& pool,
-                                   std::type_identity_t<ConstMatrixView<T>> A,
-                                   std::type_identity_t<ConstMatrixView<T>> B,
-                                   StrassenOptions opts = {}) {
-  PoolExecutor<T> exec(pool);
-  return matmul_strassen_tcu_pool(exec, A, B, opts);
 }
 
 /// Theorem 1: multiply two square matrices with a Strassen-like recursion

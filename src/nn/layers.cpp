@@ -79,13 +79,6 @@ Matrix<double> DenseLayer::forward(Device<double>& dev,
   return out;
 }
 
-Matrix<double> DenseLayer::forward(DevicePool<double>& pool,
-                                   ConstMatrixView<double> activations,
-                                   bool relu) const {
-  PoolExecutor<double> exec(pool);
-  return forward(exec, activations, relu);
-}
-
 Matrix<double> DenseLayer::forward(PoolExecutor<double>& exec,
                                    ConstMatrixView<double> activations,
                                    bool relu,
@@ -139,7 +132,7 @@ void DenseLayer::forward_epoch(PoolExecutor<double>& exec,
   // One epilogue task per output strip, gated on exactly that strip's
   // product: columns [jb, jb+jw) of `out` are final once the ticket
   // retires, and no other strip touches them. The per-strip CPU charges
-  // sum to the barrier path's shared-CPU epilogue charge.
+  // sum to forward()'s shared-CPU epilogue charge.
   const std::size_t s = exec.pool().unit(0).tile_dim();
   const std::size_t rows = out.rows;
   const std::size_t cols = out.cols;
@@ -183,31 +176,13 @@ Matrix<double> Mlp::forward(Device<double>& dev,
   return cur;
 }
 
-Matrix<double> Mlp::forward(DevicePool<double>& pool,
-                            ConstMatrixView<double> batch) const {
-  if (layers_.empty()) throw std::invalid_argument("Mlp: no layers");
-  PoolExecutor<double> exec(pool);  // one spawn for the whole pass
-  return forward(exec, batch);
-}
-
 Matrix<double> Mlp::forward(PoolExecutor<double>& exec,
                             ConstMatrixView<double> batch,
-                            const linalg::PoolMatmulOptions& opts,
-                            ExecMode mode) const {
+                            const linalg::PoolMatmulOptions& opts) const {
   if (layers_.empty()) throw std::invalid_argument("Mlp: no layers");
-  if (mode == ExecMode::kBarrier) {
-    Matrix<double> cur = materialize(batch);
-    exec.pool().charge_cpu(batch.rows * batch.cols);
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-      const bool relu = l + 1 < layers_.size();
-      cur = layers_[l].forward(exec, cur.view(), relu, opts);
-    }
-    return cur;
-  }
-
-  // Epoch pass: every layer submits its strips and per-strip epilogues
-  // and opens a new epoch; one strict join closes the whole pass. The
-  // activation matrices are arena-held because in-flight tasks reference
+  // Every layer submits its strips and per-strip epilogues and opens a
+  // new epoch; one strict join closes the whole pass. The activation
+  // matrices are arena-held because in-flight tasks reference
   // them long after the submitting loop iteration has moved on.
   auto cur = std::make_shared<Matrix<double>>(materialize(batch));
   exec.pool().charge_cpu(batch.rows * batch.cols);
@@ -373,16 +348,6 @@ Matrix<double> conv2d_tcu_pool(PoolExecutor<double>& exec,
   Matrix<double> out = conv_relayout(lo, gem);
   pool.charge_cpu(lo.channels_out * lo.oh * lo.ow);
   return out;
-}
-
-Matrix<double> conv2d_tcu_pool(DevicePool<double>& pool,
-                               ConstMatrixView<double> input,
-                               std::size_t channels_in,
-                               ConstMatrixView<double> filters,
-                               std::size_t kh, std::size_t kw,
-                               const linalg::PoolMatmulOptions& opts) {
-  PoolExecutor<double> exec(pool);
-  return conv2d_tcu_pool(exec, input, channels_in, filters, kh, kw, opts);
 }
 
 Matrix<double> conv2d_ram(ConstMatrixView<double> input,

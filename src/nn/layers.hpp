@@ -39,16 +39,11 @@ class DenseLayer {
                          ConstMatrixView<double> activations,
                          bool relu = true) const;
 
-  /// Multi-unit forward: output strips of the weight product run across
-  /// the pool's worker threads for any shape (ragged layers are padded in
-  /// worker-local scratch); epilogue is shared CPU work. Spawns a
-  /// throwaway executor — prefer the PoolExecutor overload in loops.
-  Matrix<double> forward(DevicePool<double>& pool,
-                         ConstMatrixView<double> activations,
-                         bool relu = true) const;
-
-  /// Multi-unit forward over a caller-owned persistent executor: no
-  /// thread churn, and every weight strip declares its full B-tile chain,
+  /// Multi-unit forward over a caller-owned persistent executor: output
+  /// strips of the weight product run across the pool's worker threads
+  /// for any shape (ragged layers are padded in worker-local scratch), a
+  /// strict join closes the product, and the epilogue is shared CPU work.
+  /// No thread churn, and every weight strip declares its full B-tile chain,
   /// so repeated forwards of the same layer skip the weight re-load
   /// latency on every tile still resident from the previous batch (a
   /// chain of k tiles stays fully hot on its lane once the units'
@@ -67,8 +62,8 @@ class DenseLayer {
   /// remaining strips' products — then opens a new epoch (join_epoch) so
   /// the next layer's reads are fence-ordered. No strict join: `out` is
   /// entirely task-written and must only be read (and `activations`/`out`
-  /// only freed) after the caller's join(). Aggregate counters equal the
-  /// barrier forward's — the epilogue CPU moves from the shared counter
+  /// only freed) after the caller's join(). Aggregate counters equal
+  /// forward(exec, ...)'s — the epilogue CPU moves from the shared counter
   /// to the executing units, which is what lets a deep pass scale past
   /// the serial-epilogue Amdahl bound.
   void forward_epoch(PoolExecutor<double>& exec,
@@ -114,36 +109,28 @@ class Mlp {
   Matrix<double> forward(Device<double>& dev,
                          ConstMatrixView<double> batch) const;
 
-  /// Forward pass across a multi-unit pool (layers stay sequential; each
-  /// layer's weight product parallelizes over output strips). One
-  /// executor serves the whole forward, so thread startup is paid once
-  /// per pass, not once per layer.
-  Matrix<double> forward(DevicePool<double>& pool,
-                         ConstMatrixView<double> batch) const;
-
-  /// Forward pass over a caller-owned persistent executor: an inference
-  /// server keeps one executor alive across requests and pays thread
-  /// startup never and weight-tile load latency only on first touch —
-  /// with enough `resident_tiles` capacity, every layer's whole chain of
-  /// weight tiles stays resident on its lane across requests. `opts` is
-  /// forwarded to every layer's strip dealing (see DenseLayer::forward).
+  /// Forward pass over a caller-owned persistent executor (layers stay
+  /// sequential; each layer's weight product parallelizes over output
+  /// strips). An inference server keeps one executor alive across
+  /// requests and pays thread startup never and weight-tile load latency
+  /// only on first touch — with enough `resident_tiles` capacity, every
+  /// layer's whole chain of weight tiles stays resident on its lane
+  /// across requests. `opts` is forwarded to every layer's strip dealing
+  /// (see DenseLayer::forward).
   ///
-  /// `mode` selects the pass schedule. `kEpoch` (default since the
-  /// bench_residency records were re-anchored under the epoch dealer):
-  /// layers run as one non-barrier round — per-strip epilogue tasks
-  /// depend on their own strip's ticket, consecutive layers are
-  /// separated by virtual barriers (join_epoch), and one strict join
-  /// closes the pass. `kBarrier` (the historical schedule, still fully
-  /// supported and tested): each layer strict-joins and runs its
-  /// epilogue on the shared CPU. Outputs are bit-identical and aggregate
-  /// counters equal in both modes; per-unit cpu_ops differ (epoch
-  /// charges epilogues to the executing units), which is what un-bounds
+  /// The pass is one non-barrier round: each layer runs
+  /// DenseLayer::forward_epoch (per-strip epilogue tasks depend on their
+  /// own strip's ticket), consecutive layers are separated by virtual
+  /// barriers (join_epoch), and one strict join closes the pass. Outputs
+  /// are bit-identical to the serial forward; aggregate counters match it
+  /// except for the latency split that lane placement moves (each call
+  /// pays or saves its l), and a 1-unit pool matches in every field.
+  /// Per-unit cpu_ops carry the epilogues, which is what un-bounds
   /// multi-unit speedup from the serial epilogue.
   Matrix<double> forward(PoolExecutor<double>& exec,
                          ConstMatrixView<double> batch,
                          const linalg::PoolMatmulOptions& opts = {
-                             .affinity = true},
-                         ExecMode mode = ExecMode::kEpoch) const;
+                             .affinity = true}) const;
 
  private:
   std::vector<DenseLayer> layers_;
@@ -184,15 +171,6 @@ Matrix<double> conv2d_tcu(Device<double>& dev, ConstMatrixView<double> input,
 /// combine, serving banks deeper than the tile cache (see
 /// PoolMatmulOptions); `{.affinity = false}` is the untagged baseline.
 Matrix<double> conv2d_tcu_pool(PoolExecutor<double>& exec,
-                               ConstMatrixView<double> input,
-                               std::size_t channels_in,
-                               ConstMatrixView<double> filters,
-                               std::size_t kh, std::size_t kw,
-                               const linalg::PoolMatmulOptions& opts = {
-                                   .affinity = true});
-
-/// Same, with a throwaway executor spawned for the call.
-Matrix<double> conv2d_tcu_pool(DevicePool<double>& pool,
                                ConstMatrixView<double> input,
                                std::size_t channels_in,
                                ConstMatrixView<double> filters,

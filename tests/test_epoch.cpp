@@ -11,12 +11,11 @@
 //   * 10-run determinism at p = 1/2/4/8 for all four epoch workloads,
 //     down to every per-unit counter field (the dealer schedules off
 //     declared costs, never wall time);
-//   * outputs are bit-identical between epoch and barrier modes, with
-//     aggregate counters equal (closure, GE) or equal modulo the
-//     documented latency-split conservation law (DFT, Mlp);
-//   * the barrier-mode flag reproduces the historical schedule
-//     bit-for-bit (p = 1 pools match a single device in every field;
-//     Mlp's default mode argument is the barrier path);
+//   * outputs are bit-identical to the serial Device run, and so are
+//     the counters: a 1-unit pool matches the device in every field;
+//     wider pools match its aggregate bitwise (closure), bitwise except
+//     the schedule-dependent evictions (GE), or modulo the documented
+//     latency-split conservation law (DFT, Mlp);
 //   * the contract checker stays green across epoch rounds (the
 //     join_epoch markers validate each lane's mirror at the fence).
 
@@ -25,6 +24,8 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "check/contract.hpp"
@@ -42,7 +43,6 @@ namespace {
 using tcu::Counters;
 using tcu::Device;
 using tcu::DevicePool;
-using tcu::ExecMode;
 using tcu::Matrix;
 using tcu::PoolExecutor;
 using tcu::TaskDeps;
@@ -122,19 +122,32 @@ void expect_snapshots_bitwise(const std::vector<Counters>& got,
   }
 }
 
-/// Cross-mode comparison where lane placement may differ (DFT, Mlp):
-/// everything but the latency split matches, and the split obeys the
-/// conservation law — each call either pays or saves its l.
-void expect_counters_conserved(const Counters& a, const Counters& b,
-                               std::uint64_t ell) {
-  EXPECT_EQ(a.tensor_calls, b.tensor_calls);
-  EXPECT_EQ(a.tensor_rows, b.tensor_rows);
-  EXPECT_EQ(a.tensor_macs, b.tensor_macs);
-  EXPECT_EQ(a.cpu_ops, b.cpu_ops);
-  EXPECT_EQ(a.tensor_time - a.latency_time, b.tensor_time - b.latency_time);
-  EXPECT_EQ(a.latency_time + a.latency_saved,
-            b.latency_time + b.latency_saved +
-                (a.tensor_calls - b.tensor_calls) * ell);
+/// Pool aggregate against the serial device where lane placement and
+/// chunking move the latency split (DFT, Mlp): everything else matches,
+/// and the split obeys the conservation law — each call either pays or
+/// saves its l, so the extra calls of a chunked level add exactly l each.
+void expect_counters_conserved(const Counters& pool, const Counters& serial,
+                               std::uint64_t ell, const std::string& what) {
+  EXPECT_EQ(pool.tensor_rows, serial.tensor_rows) << what;
+  EXPECT_EQ(pool.tensor_macs, serial.tensor_macs) << what;
+  EXPECT_EQ(pool.cpu_ops, serial.cpu_ops) << what;
+  EXPECT_EQ(pool.tensor_time - pool.latency_time,
+            serial.tensor_time - serial.latency_time)
+      << what;
+  EXPECT_EQ(pool.latency_time + pool.latency_saved,
+            serial.latency_time + serial.latency_saved +
+                (pool.tensor_calls - serial.tensor_calls) * ell)
+      << what;
+}
+
+/// GE's pool contract: every aggregate field but the schedule-dependent
+/// `evictions` matches the serial device (see ge_forward_tcu_pool).
+void expect_counters_bitwise_but_evictions(const Counters& got,
+                                           const Counters& want,
+                                           const std::string& what) {
+  Counters masked = got;
+  masked.evictions = want.evictions;
+  expect_counters_bitwise(masked, want, what);
 }
 
 // ---------------------------------------------------------------- runtime
@@ -218,233 +231,143 @@ TEST(EpochRuntime, ForwardDependencyIsRejectedWithoutCorruption) {
 }
 
 // ----------------------------------------------------- 10-run determinism
+// Each loop also pins the pool run against the serial Device run of the
+// same input (on the first run of each unit count). The extra inputs are
+// a ragged closure (n = 30, padded to 32) and a longer DFT (4 x 40).
 
 TEST(EpochDeterminism, ClosureTenRunsEveryUnitCount) {
-  auto adj = tcu::graph::random_digraph(24, 0.15, 424);
-  tcu::graph::AdjMatrix serial_d = adj;
-  Device<Vert> dev({.m = 64, .latency = 7});
-  tcu::graph::closure_tcu(dev, serial_d.view());
+  for (const auto& [n, seed] :
+       {std::pair<std::size_t, std::uint64_t>{24, 424}, {30, 830}, {24, 924}}) {
+    auto adj = tcu::graph::random_digraph(n, 0.15, seed);
+    tcu::graph::AdjMatrix serial_d = adj;
+    Device<Vert> dev({.m = 64, .latency = 7});
+    tcu::graph::closure_tcu(dev, serial_d.view());
 
-  for (std::size_t p : {1u, 2u, 4u, 8u}) {
-    std::vector<Counters> first;
-    for (int run = 0; run < 10; ++run) {
-      tcu::graph::AdjMatrix d = adj;
-      DevicePool<Vert> pool(p, {.m = 64, .latency = 7});
-      tcu::graph::closure_tcu(pool, d.view(), ExecMode::kEpoch);
-      ASSERT_EQ(d, serial_d) << "p=" << p << " run=" << run;
-      auto snap = snapshot(pool);
-      if (run == 0) {
-        first = std::move(snap);
-      } else {
-        expect_snapshots_bitwise(
-            snap, first, "closure p=" + std::to_string(p));
+    for (std::size_t p : {1u, 2u, 4u, 8u}) {
+      const std::string what =
+          "closure seed=" + std::to_string(seed) + " p=" + std::to_string(p);
+      std::vector<Counters> first;
+      for (int run = 0; run < 10; ++run) {
+        tcu::graph::AdjMatrix d = adj;
+        DevicePool<Vert> pool(p, {.m = 64, .latency = 7});
+        PoolExecutor<Vert> exec(pool);
+        tcu::graph::closure_tcu(exec, d.view());
+        ASSERT_EQ(d, serial_d) << what << " run=" << run;
+        auto snap = snapshot(pool);
+        if (run == 0) {
+          expect_counters_bitwise(pool.aggregate(), dev.counters(), what);
+          first = std::move(snap);
+        } else {
+          expect_snapshots_bitwise(snap, first, what);
+        }
       }
     }
   }
 }
 
 TEST(EpochDeterminism, GaussTenRunsEveryUnitCount) {
-  auto x = random_matrix(24, 24, 520);
-  Matrix<double> serial_x = x;
-  Device<double> dev({.m = 16, .latency = 5});
-  tcu::linalg::ge_forward_tcu(dev, serial_x.view());
+  for (std::uint64_t seed : {520u, 831u, 925u}) {
+    auto x = random_matrix(24, 24, seed);
+    Matrix<double> serial_x = x;
+    Device<double> dev({.m = 16, .latency = 5});
+    tcu::linalg::ge_forward_tcu(dev, serial_x.view());
 
-  for (std::size_t p : {1u, 2u, 4u, 8u}) {
-    std::vector<Counters> first;
-    for (int run = 0; run < 10; ++run) {
-      Matrix<double> got = x;
-      DevicePool<double> pool(p, {.m = 16, .latency = 5});
-      tcu::linalg::ge_forward_tcu_pool(pool, got.view(), ExecMode::kEpoch);
-      ASSERT_EQ(got, serial_x) << "p=" << p << " run=" << run;
-      auto snap = snapshot(pool);
-      if (run == 0) {
-        first = std::move(snap);
-      } else {
-        expect_snapshots_bitwise(snap, first, "GE p=" + std::to_string(p));
+    for (std::size_t p : {1u, 2u, 4u, 8u}) {
+      const std::string what =
+          "GE seed=" + std::to_string(seed) + " p=" + std::to_string(p);
+      std::vector<Counters> first;
+      for (int run = 0; run < 10; ++run) {
+        Matrix<double> got = x;
+        DevicePool<double> pool(p, {.m = 16, .latency = 5});
+        PoolExecutor<double> exec(pool);
+        tcu::linalg::ge_forward_tcu_pool(exec, got.view());
+        ASSERT_EQ(got, serial_x) << what << " run=" << run;
+        auto snap = snapshot(pool);
+        if (run == 0) {
+          if (p == 1) {
+            expect_counters_bitwise(pool.aggregate(), dev.counters(), what);
+          } else {
+            expect_counters_bitwise_but_evictions(pool.aggregate(),
+                                                  dev.counters(), what);
+          }
+          first = std::move(snap);
+        } else {
+          expect_snapshots_bitwise(snap, first, what);
+        }
       }
     }
   }
 }
 
 TEST(EpochDeterminism, DftTenRunsEveryUnitCount) {
-  auto batch = random_cbatch(3, 24, 624);
-  Matrix<Complex> serial_batch = batch;
-  Device<Complex> dev({.m = 16, .latency = 11});
-  tcu::dft::dft_batch_tcu(dev, serial_batch.view(), {.affinity = true});
+  const std::uint64_t ell = 11;
+  for (const auto& [b, len, seed] :
+       {std::tuple<std::size_t, std::size_t, std::uint64_t>{3, 24, 624},
+        {4, 40, 840},
+        {3, 24, 926}}) {
+    auto batch = random_cbatch(b, len, seed);
+    Matrix<Complex> serial_batch = batch;
+    Device<Complex> dev({.m = 16, .latency = ell});
+    tcu::dft::dft_batch_tcu(dev, serial_batch.view(), {.affinity = true});
 
-  for (std::size_t p : {1u, 2u, 4u, 8u}) {
-    std::vector<Counters> first;
-    for (int run = 0; run < 10; ++run) {
-      Matrix<Complex> got = batch;
-      DevicePool<Complex> pool(p, {.m = 16, .latency = 11});
-      PoolExecutor<Complex> exec(pool);
-      tcu::dft::dft_batch_tcu(exec, got.view(),
-                              {.affinity = true, .mode = ExecMode::kEpoch});
-      ASSERT_EQ(got, serial_batch) << "p=" << p << " run=" << run;
-      auto snap = snapshot(pool);
-      if (run == 0) {
-        first = std::move(snap);
-      } else {
-        expect_snapshots_bitwise(snap, first, "DFT p=" + std::to_string(p));
+    for (std::size_t p : {1u, 2u, 4u, 8u}) {
+      const std::string what =
+          "DFT seed=" + std::to_string(seed) + " p=" + std::to_string(p);
+      std::vector<Counters> first;
+      for (int run = 0; run < 10; ++run) {
+        Matrix<Complex> got = batch;
+        DevicePool<Complex> pool(p, {.m = 16, .latency = ell});
+        PoolExecutor<Complex> exec(pool);
+        tcu::dft::dft_batch_tcu(exec, got.view(), {.affinity = true});
+        ASSERT_EQ(got, serial_batch) << what << " run=" << run;
+        auto snap = snapshot(pool);
+        if (run == 0) {
+          if (p == 1) {
+            expect_counters_bitwise(pool.aggregate(), dev.counters(), what);
+          } else {
+            expect_counters_conserved(pool.aggregate(), dev.counters(), ell,
+                                      what);
+          }
+          first = std::move(snap);
+        } else {
+          expect_snapshots_bitwise(snap, first, what);
+        }
       }
     }
   }
 }
 
 TEST(EpochDeterminism, MlpTenRunsEveryUnitCount) {
+  const std::uint64_t ell = 3;
   const auto mlp = make_mlp();
-  const auto batch = random_matrix(16, 16, 724);
-  Device<double> dev({.m = 16, .latency = 3});
-  const auto expect = mlp.forward(dev, batch.view());
+  for (std::uint64_t seed : {724u, 841u, 927u}) {
+    const auto batch = random_matrix(16, 16, seed);
+    Device<double> dev({.m = 16, .latency = ell});
+    const auto expect = mlp.forward(dev, batch.view());
 
-  for (std::size_t p : {1u, 2u, 4u, 8u}) {
-    std::vector<Counters> first;
-    for (int run = 0; run < 10; ++run) {
-      DevicePool<double> pool(p, {.m = 16, .latency = 3});
-      PoolExecutor<double> exec(pool);
-      const auto got = mlp.forward(exec, batch.view(), {.affinity = true},
-                                   ExecMode::kEpoch);
-      ASSERT_EQ(got, expect) << "p=" << p << " run=" << run;
-      auto snap = snapshot(pool);
-      if (run == 0) {
-        first = std::move(snap);
-      } else {
-        expect_snapshots_bitwise(snap, first, "Mlp p=" + std::to_string(p));
+    for (std::size_t p : {1u, 2u, 4u, 8u}) {
+      const std::string what =
+          "Mlp seed=" + std::to_string(seed) + " p=" + std::to_string(p);
+      std::vector<Counters> first;
+      for (int run = 0; run < 10; ++run) {
+        DevicePool<double> pool(p, {.m = 16, .latency = ell});
+        PoolExecutor<double> exec(pool);
+        const auto got = mlp.forward(exec, batch.view());
+        ASSERT_EQ(got, expect) << what << " run=" << run;
+        auto snap = snapshot(pool);
+        if (run == 0) {
+          if (p == 1) {
+            expect_counters_bitwise(pool.aggregate(), dev.counters(), what);
+          } else {
+            expect_counters_conserved(pool.aggregate(), dev.counters(), ell,
+                                      what);
+          }
+          first = std::move(snap);
+        } else {
+          expect_snapshots_bitwise(snap, first, what);
+        }
       }
     }
-  }
-}
-
-// --------------------------------------------------------- epoch/barrier
-
-TEST(EpochVsBarrier, ClosureAndGaussAggregatesIdentical) {
-  // Closure and GE charge their epoch-mode glue through the same counted
-  // kernels as the barrier path, so the aggregates match in every field
-  // — only the split across units moves.
-  auto adj = tcu::graph::random_digraph(30, 0.15, 830);
-  for (std::size_t p : {2u, 4u}) {
-    tcu::graph::AdjMatrix d_epoch = adj, d_barrier = adj;
-    DevicePool<Vert> pe(p, {.m = 64, .latency = 7});
-    DevicePool<Vert> pb(p, {.m = 64, .latency = 7});
-    tcu::graph::closure_tcu(pe, d_epoch.view(), ExecMode::kEpoch);
-    tcu::graph::closure_tcu(pb, d_barrier.view(), ExecMode::kBarrier);
-    EXPECT_EQ(d_epoch, d_barrier) << "p=" << p;
-    expect_counters_bitwise(pe.aggregate(), pb.aggregate(),
-                            "closure p=" + std::to_string(p));
-  }
-
-  auto x = random_matrix(24, 24, 831);
-  for (std::size_t p : {2u, 4u}) {
-    Matrix<double> x_epoch = x, x_barrier = x;
-    DevicePool<double> pe(p, {.m = 16, .latency = 5});
-    DevicePool<double> pb(p, {.m = 16, .latency = 5});
-    tcu::linalg::ge_forward_tcu_pool(pe, x_epoch.view(), ExecMode::kEpoch);
-    tcu::linalg::ge_forward_tcu_pool(pb, x_barrier.view(),
-                                     ExecMode::kBarrier);
-    EXPECT_EQ(x_epoch, x_barrier) << "p=" << p;
-    expect_counters_bitwise(pe.aggregate(), pb.aggregate(),
-                            "GE p=" + std::to_string(p));
-  }
-}
-
-TEST(EpochVsBarrier, DftAndMlpBitIdenticalAndConserved) {
-  // DFT and Mlp epoch schedules may place chunks on different lanes than
-  // the barrier dealer (deps change the greedy projections), so the
-  // latency split can move between paid and saved — but outputs are
-  // bit-identical and the conservation law pins the totals.
-  const std::uint64_t ell = 11;
-  auto batch = random_cbatch(4, 40, 840);
-  for (std::size_t p : {2u, 4u}) {
-    Matrix<Complex> b_epoch = batch, b_barrier = batch;
-    DevicePool<Complex> pe(p, {.m = 16, .latency = ell});
-    DevicePool<Complex> pb(p, {.m = 16, .latency = ell});
-    PoolExecutor<Complex> ee(pe);
-    PoolExecutor<Complex> eb(pb);
-    tcu::dft::dft_batch_tcu(ee, b_epoch.view(),
-                            {.affinity = true, .mode = ExecMode::kEpoch});
-    tcu::dft::dft_batch_tcu(eb, b_barrier.view(),
-                            {.affinity = true, .mode = ExecMode::kBarrier});
-    EXPECT_EQ(b_epoch, b_barrier) << "p=" << p;
-    expect_counters_conserved(pe.aggregate(), pb.aggregate(), ell);
-  }
-
-  const auto mlp = make_mlp();
-  const auto in = random_matrix(16, 16, 841);
-  for (std::size_t p : {2u, 4u}) {
-    DevicePool<double> pe(p, {.m = 16, .latency = 3});
-    DevicePool<double> pb(p, {.m = 16, .latency = 3});
-    PoolExecutor<double> ee(pe);
-    PoolExecutor<double> eb(pb);
-    const auto got_epoch =
-        mlp.forward(ee, in.view(), {.affinity = true}, ExecMode::kEpoch);
-    const auto got_barrier =
-        mlp.forward(eb, in.view(), {.affinity = true}, ExecMode::kBarrier);
-    EXPECT_EQ(got_epoch, got_barrier) << "p=" << p;
-    expect_counters_conserved(pe.aggregate(), pb.aggregate(), 3);
-  }
-}
-
-TEST(EpochVsBarrier, BarrierFlagReproducesHistoricalSchedule) {
-  // The barrier flag is the pre-epoch runtime verbatim: a 1-unit pool
-  // matches a single device in every counter field (the historical
-  // p = 1 identity). Mlp's default mode argument is checked separately
-  // below — it is the epoch path, bitwise.
-  {
-    auto adj = tcu::graph::random_digraph(24, 0.15, 924);
-    tcu::graph::AdjMatrix serial_d = adj, pool_d = adj;
-    Device<Vert> dev({.m = 64, .latency = 7});
-    tcu::graph::closure_tcu(dev, serial_d.view());
-    DevicePool<Vert> pool(1, {.m = 64, .latency = 7});
-    tcu::graph::closure_tcu(pool, pool_d.view(), ExecMode::kBarrier);
-    EXPECT_EQ(pool_d, serial_d);
-    expect_counters_bitwise(pool.aggregate(), dev.counters(), "closure p=1");
-  }
-  {
-    auto x = random_matrix(24, 24, 925);
-    Matrix<double> serial_x = x, pool_x = x;
-    Device<double> dev({.m = 16, .latency = 5});
-    tcu::linalg::ge_forward_tcu(dev, serial_x.view());
-    DevicePool<double> pool(1, {.m = 16, .latency = 5});
-    tcu::linalg::ge_forward_tcu_pool(pool, pool_x.view(),
-                                     ExecMode::kBarrier);
-    EXPECT_EQ(pool_x, serial_x);
-    expect_counters_bitwise(pool.aggregate(), dev.counters(), "GE p=1");
-  }
-  {
-    auto batch = random_cbatch(3, 24, 926);
-    Matrix<Complex> serial_b = batch, pool_b = batch;
-    Device<Complex> dev({.m = 16, .latency = 11});
-    tcu::dft::dft_batch_tcu(dev, serial_b.view(), {.affinity = true});
-    DevicePool<Complex> pool(1, {.m = 16, .latency = 11});
-    PoolExecutor<Complex> exec(pool);
-    tcu::dft::dft_batch_tcu(exec, pool_b.view(),
-                            {.affinity = true, .mode = ExecMode::kBarrier});
-    EXPECT_EQ(pool_b, serial_b);
-    expect_counters_bitwise(pool.aggregate(), dev.counters(), "DFT p=1");
-  }
-  {
-    // Mlp's default mode argument is now the epoch path (flipped when the
-    // bench_residency records were re-anchored under the epoch dealer):
-    // the default must be bitwise the explicit kEpoch flag, and the
-    // barrier flag — the historical schedule — must still produce the
-    // same bits with its aggregate counters conserved against epoch's.
-    const auto mlp = make_mlp();
-    const auto in = random_matrix(16, 16, 927);
-    DevicePool<double> pd(4, {.m = 16, .latency = 3});
-    DevicePool<double> pe(4, {.m = 16, .latency = 3});
-    DevicePool<double> pb(4, {.m = 16, .latency = 3});
-    PoolExecutor<double> ed(pd);
-    PoolExecutor<double> ee(pe);
-    PoolExecutor<double> eb(pb);
-    const auto got_default = mlp.forward(ed, in.view());
-    const auto got_epoch =
-        mlp.forward(ee, in.view(), {.affinity = true}, ExecMode::kEpoch);
-    const auto got_barrier =
-        mlp.forward(eb, in.view(), {.affinity = true}, ExecMode::kBarrier);
-    EXPECT_EQ(got_default, got_epoch);
-    EXPECT_EQ(got_default, got_barrier);
-    expect_snapshots_bitwise(snapshot(pe), snapshot(pd), "Mlp epoch default");
-    expect_counters_conserved(pb.aggregate(), pe.aggregate(), 3);
   }
 }
 
@@ -461,7 +384,8 @@ TEST(EpochCheck, AllWorkloadsPassWithCheckerAttached) {
     tcu::graph::AdjMatrix serial_d = adj;
     Device<Vert> dev({.m = 64, .latency = 7});
     tcu::graph::closure_tcu(dev, serial_d.view());
-    tcu::graph::closure_tcu(pool, adj.view(), ExecMode::kEpoch);
+    PoolExecutor<Vert> exec(pool);
+    tcu::graph::closure_tcu(exec, adj.view());
     EXPECT_EQ(adj, serial_d);
     check.verify();
   }
@@ -473,15 +397,14 @@ TEST(EpochCheck, AllWorkloadsPassWithCheckerAttached) {
     Matrix<double> serial_x = x;
     Device<double> dev({.m = 16, .latency = 5});
     tcu::linalg::ge_forward_tcu(dev, serial_x.view());
-    tcu::linalg::ge_forward_tcu_pool(exec, x.view(), ExecMode::kEpoch);
+    tcu::linalg::ge_forward_tcu_pool(exec, x.view());
     EXPECT_EQ(x, serial_x);
 
     const auto mlp = make_mlp();
     const auto in = random_matrix(16, 16, 1026);
     Device<double> mdev({.m = 16, .latency = 5});
     const auto expect = mlp.forward(mdev, in.view());
-    const auto got =
-        mlp.forward(exec, in.view(), {.affinity = true}, ExecMode::kEpoch);
+    const auto got = mlp.forward(exec, in.view());
     EXPECT_EQ(got, expect);
     check.verify();
   }
@@ -493,8 +416,7 @@ TEST(EpochCheck, AllWorkloadsPassWithCheckerAttached) {
     Matrix<Complex> serial_b = batch;
     Device<Complex> dev({.m = 16, .latency = 11});
     tcu::dft::dft_batch_tcu(dev, serial_b.view(), {.affinity = true});
-    tcu::dft::dft_batch_tcu(exec, batch.view(),
-                            {.affinity = true, .mode = ExecMode::kEpoch});
+    tcu::dft::dft_batch_tcu(exec, batch.view(), {.affinity = true});
     EXPECT_EQ(batch, serial_b);
     check.verify();
   }

@@ -19,6 +19,7 @@ using tcu::Counters;
 using tcu::Device;
 using tcu::DevicePool;
 using tcu::Matrix;
+using tcu::PoolExecutor;
 
 // ------------------------------------------------------------ primitives
 
@@ -238,7 +239,8 @@ TEST_P(PoolSweep, ParallelMatmulMatchesSingleUnit) {
     }
   }
   DevicePool<double> pool(units, {.m = 64, .latency = 16});
-  auto c_pool = tcu::linalg::matmul_tcu_pool(pool, a.view(), b.view());
+  PoolExecutor<double> exec(pool);
+  auto c_pool = tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view());
   Device<double> single({.m = 64, .latency = 16});
   auto c_single = tcu::linalg::matmul_tcu(single, a.view(), b.view());
   for (std::size_t i = 0; i < d; ++i) {
@@ -259,14 +261,15 @@ TEST(DevicePool, ParallelMatmulValidatesShapes) {
   // Ragged rows no longer throw: the final partial strip is padded in
   // worker-local scratch, bit-identical to the single-device path.
   Matrix<double> a(10, 8, 1.0), b(8, 8, 2.0);
-  auto c_pool = tcu::linalg::matmul_tcu_pool(pool, a.view(), b.view());
+  PoolExecutor<double> exec(pool);
+  auto c_pool = tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view());
   Device<double> single({.m = 16});
   auto c_single = tcu::linalg::matmul_tcu(single, a.view(), b.view());
   EXPECT_EQ(c_pool, c_single);
   // Genuine shape mismatches still throw.
   Matrix<double> c(8, 6), d(5, 8);
   EXPECT_THROW(
-      (void)tcu::linalg::matmul_tcu_pool(pool, c.view(), d.view()),
+      (void)tcu::linalg::matmul_tcu_pool(exec, c.view(), d.view()),
       std::invalid_argument);
 }
 
@@ -276,7 +279,8 @@ TEST(DevicePool, WorkConservation) {
   const std::size_t d = 128;
   Matrix<double> a(d, d, 1.0), b(d, d, 1.0);
   DevicePool<double> pool(4, {.m = 256, .latency = 3});
-  (void)tcu::linalg::matmul_tcu_pool(pool, a.view(), b.view());
+  PoolExecutor<double> exec(pool);
+  (void)tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view());
   Device<double> single({.m = 256, .latency = 3});
   (void)tcu::linalg::matmul_tcu(single, a.view(), b.view());
   EXPECT_EQ(pool.total_tensor_time(), single.counters().tensor_time);

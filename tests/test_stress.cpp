@@ -124,7 +124,8 @@ TEST(Stress, PoolWithMoreUnitsThanStrips) {
     }
   }
   tcu::DevicePool<double> pool(8, {.m = 256, .latency = 5});
-  auto c1 = tcu::linalg::matmul_tcu_pool(pool, a.view(), b.view());
+  tcu::PoolExecutor<double> exec(pool);
+  auto c1 = tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view());
   Device<double> single({.m = 256, .latency = 5});
   auto c2 = tcu::linalg::matmul_tcu(single, a.view(), b.view());
   for (std::size_t i = 0; i < d; ++i) {
@@ -279,8 +280,7 @@ TEST(Stress, HundredRoundChaosUnderSeededFaults) {
     {  // Mlp epoch pass: per-strip epilogues gated on their own tickets.
       Matrix<double> batch(8, 16);
       fill(batch, 7000 + round);
-      auto got = mlp.forward(dexec, batch.view(), {.affinity = true},
-                             tcu::ExecMode::kEpoch);
+      auto got = mlp.forward(dexec, batch.view());
       Device<double> ref({.m = 16, .latency = ell});
       auto expect = mlp.forward(ref, batch.view());
       ASSERT_EQ(got, expect) << "mlp, round " << round;
@@ -288,7 +288,7 @@ TEST(Stress, HundredRoundChaosUnderSeededFaults) {
     {  // transitive closure: the full true-dependence epoch graph.
       auto adj = tcu::graph::random_digraph(24, 0.12, 8000 + round);
       tcu::graph::AdjMatrix expect = adj;
-      tcu::graph::closure_tcu(vexec, adj.view(), tcu::ExecMode::kEpoch);
+      tcu::graph::closure_tcu(vexec, adj.view());
       Device<tcu::graph::Vert> ref({.m = 16, .latency = ell});
       tcu::graph::closure_tcu(ref, expect.view());
       ASSERT_EQ(adj, expect) << "closure, round " << round;

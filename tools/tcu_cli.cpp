@@ -20,11 +20,10 @@
 // Exit status is nonzero if the recovered outputs are not bit-identical
 // to the serial reference or recovery was exhausted.
 //
-// The `pool` scenario compares the two pool schedules of a dependent
-// workload — the historical barrier rounds against the epoch (non-
-// barrier) runtime — next to the serial reference:
+// The `pool` scenario runs a dependent workload on the pool executor's
+// epoch (non-barrier) schedule next to the serial reference:
 //
-//   tcu_cli pool [--mode barrier|epoch] [--workload closure|gauss|dft|mlp]
+//   tcu_cli pool [--workload closure|gauss|dft|mlp]
 //                [--backend sim|micro|blas]
 //                [--p P] [--m M] [--l L] [--size N] [--seed S]
 //
@@ -32,11 +31,16 @@
 // the pooled output is bit-identical to the serial device's. Exit status
 // is nonzero on any output mismatch.
 //
+// Every subcommand takes `--flag value` pairs; an unknown flag, a
+// non-numeric value for a numeric flag, or a flag without a value is an
+// error naming the subcommand (exit 2), and so is a value the model
+// rejects, such as a non-square --m (exit 1).
+//
 // Examples:
 //   tcu_cli matmul --size 256 --m 1024 --l 100
 //   tcu_cli all --size 128
 //   tcu_cli fault --workload matmul --p 4 --dead 3 --rate-ppm 2000
-//   tcu_cli pool --workload gauss --mode epoch --p 4
+//   tcu_cli pool --workload gauss --p 4
 
 #include <cerrno>
 #include <complex>
@@ -90,8 +94,7 @@ struct Options {
          "                     [--p P] [--rounds R] [--dead U] [--die-at C]\n"
          "                     [--rate-ppm F] [--straggle-us S]\n"
          "                     [--m M] [--l L] [--size N] [--seed S]\n"
-         "       tcu_cli pool  [--mode barrier|epoch]\n"
-         "                     [--workload closure|gauss|dft|mlp]\n"
+         "       tcu_cli pool  [--workload closure|gauss|dft|mlp]\n"
          "                     [--backend sim|micro|blas]\n"
          "                     [--p P] [--m M] [--l L] [--size N] [--seed S]\n";
   std::exit(2);
@@ -381,60 +384,76 @@ int fault_drive(const FaultOptions& fo, const tcu::fault::FaultSpec& spec,
   return outputs_match ? 0 : 1;
 }
 
+/// Die with a diagnostic naming the running subcommand `cmd`.
+[[noreturn]] void flag_error(const std::string& cmd, const std::string& what) {
+  std::cerr << "tcu_cli " << cmd << ": " << what << "\n";
+  usage();
+}
+
 /// Parse a flag's value as a decimal number, or die with a diagnostic
 /// (strtoull's silent 0 on garbage would turn a typo into a valid plan).
-std::uint64_t parse_num(const std::string& flag, const std::string& value) {
+/// Call only once `flag` is known to take a number.
+std::uint64_t parse_num(const std::string& cmd, const std::string& flag,
+                        const std::string& value) {
   char* end = nullptr;
   errno = 0;
   const auto num = std::strtoull(value.c_str(), &end, 10);
   if (value.empty() || *end != '\0' || errno == ERANGE) {
-    std::cerr << "tcu_cli fault: " << flag << " expects a number, got '"
-              << value << "'\n";
-    usage();
+    flag_error(cmd, flag + " expects a number, got '" + value + "'");
   }
   return num;
 }
 
-int run_fault(int argc, char** argv) {
-  FaultOptions fo;
+/// Walks the `--flag value` pairs after the subcommand. `apply(flag,
+/// value)` returns false for a flag it does not know; that, and a
+/// trailing flag without a value, are errors of subcommand `cmd`.
+template <typename Apply>
+void parse_flags(const std::string& cmd, int argc, char** argv,
+                 Apply apply) {
   int i = 2;
   for (; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
+    if (!apply(std::string(argv[i]), std::string(argv[i + 1]))) {
+      flag_error(cmd, std::string("unknown flag '") + argv[i] + "'");
+    }
+  }
+  if (i < argc) {
+    flag_error(cmd, std::string("missing value for '") + argv[i] + "'");
+  }
+}
+
+int run_fault(int argc, char** argv) {
+  FaultOptions fo;
+  const auto apply = [&](const std::string& flag, const std::string& value) {
+    const auto num = [&] { return parse_num("fault", flag, value); };
     if (flag == "--workload") {
       fo.workload = value;
-      continue;
-    }
-    const auto num = parse_num(flag, value);
-    if (flag == "--p") {
-      fo.p = num;
+    } else if (flag == "--p") {
+      fo.p = num();
     } else if (flag == "--rounds") {
-      fo.rounds = static_cast<int>(num);
+      fo.rounds = static_cast<int>(num());
     } else if (flag == "--dead") {
       fo.has_dead = true;
-      fo.dead = num;
+      fo.dead = num();
     } else if (flag == "--die-at") {
-      fo.die_at = num;
+      fo.die_at = num();
     } else if (flag == "--rate-ppm") {
-      fo.rate_ppm = num;
+      fo.rate_ppm = num();
     } else if (flag == "--straggle-us") {
-      fo.straggle_us = num;
+      fo.straggle_us = num();
     } else if (flag == "--m") {
-      fo.m = num;
+      fo.m = num();
     } else if (flag == "--l") {
-      fo.latency = num;
+      fo.latency = num();
     } else if (flag == "--size") {
-      fo.size = num;
+      fo.size = num();
     } else if (flag == "--seed") {
-      fo.seed = num;
+      fo.seed = num();
     } else {
-      usage();
+      return false;
     }
-  }
-  if (i < argc) {  // a trailing flag with no value must not pass silently
-    std::cerr << "tcu_cli fault: missing value for '" << argv[i] << "'\n";
-    usage();
-  }
+    return true;
+  };
+  parse_flags("fault", argc, argv, apply);
 
   tcu::fault::FaultSpec spec;
   if (fo.has_dead) spec.death_at = {{fo.dead, fo.die_at}};
@@ -529,7 +548,6 @@ int run_fault(int argc, char** argv) {
 
 struct PoolOptions {
   std::string workload = "closure";
-  tcu::ExecMode mode = tcu::ExecMode::kEpoch;
   tcu::BackendKind backend = tcu::BackendKind::kDefault;
   std::size_t p = 4;
   std::size_t m = 256;
@@ -538,10 +556,9 @@ struct PoolOptions {
   std::uint64_t seed = 42;
 };
 
-/// One dependent workload, serial vs pooled under the chosen schedule:
-/// `serial` runs on a Device<T>, `pooled` on a DevicePool<T> in
-/// `po.mode`; both must produce the same bits. Returns the process exit
-/// status (nonzero on mismatch).
+/// One dependent workload, serial vs pooled: `serial` runs on a
+/// Device<T>, `pooled` on a PoolExecutor<T>; both must produce the same
+/// bits. Returns the process exit status (nonzero on mismatch).
 template <typename T, typename Serial, typename Pooled>
 int pool_drive(const PoolOptions& po, Serial serial, Pooled pooled) {
   Device<T> ref({.m = po.m, .latency = po.latency, .backend = po.backend});
@@ -549,7 +566,8 @@ int pool_drive(const PoolOptions& po, Serial serial, Pooled pooled) {
 
   tcu::DevicePool<T> pool(
       po.p, {.m = po.m, .latency = po.latency, .backend = po.backend});
-  const auto got = pooled(pool);
+  tcu::PoolExecutor<T> exec(pool);
+  const auto got = pooled(exec);
   const bool outputs_match = got == expect;
 
   std::uint64_t pool_wall = 0;
@@ -577,69 +595,46 @@ int pool_drive(const PoolOptions& po, Serial serial, Pooled pooled) {
 
 int run_pool(int argc, char** argv) {
   PoolOptions po;
-  int i = 2;
-  for (; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
+  const auto apply = [&](const std::string& flag, const std::string& value) {
+    const auto num = [&] { return parse_num("pool", flag, value); };
     if (flag == "--workload") {
       po.workload = value;
-      continue;
-    }
-    if (flag == "--mode") {
-      if (value == "barrier") {
-        po.mode = tcu::ExecMode::kBarrier;
-      } else if (value == "epoch") {
-        po.mode = tcu::ExecMode::kEpoch;
-      } else {
-        std::cerr << "tcu_cli pool: --mode expects barrier|epoch, got '"
-                  << value << "'\n";
-        usage();
-      }
-      continue;
-    }
-    if (flag == "--backend") {
+    } else if (flag == "--backend") {
       try {
         po.backend = tcu::parse_backend_kind(value);
       } catch (const std::invalid_argument&) {
-        std::cerr << "tcu_cli pool: --backend expects sim|micro|blas, got '"
-                  << value << "'\n";
-        usage();
+        flag_error("pool", "--backend expects sim|micro|blas, "
+                           "got '" + value + "'");
       }
-      if (!tcu::backend_available(po.backend)) {
-        std::cerr << "tcu_cli pool: backend '" << value
-                  << "' is not available in this build (blas needs "
-                     "-DTCU_BLAS=ON)\n";
-        return 2;
-      }
-      continue;
-    }
-    const auto num = parse_num(flag, value);
-    if (flag == "--p") {
-      po.p = num;
+    } else if (flag == "--p") {
+      po.p = num();
     } else if (flag == "--m") {
-      po.m = num;
+      po.m = num();
     } else if (flag == "--l") {
-      po.latency = num;
+      po.latency = num();
     } else if (flag == "--size") {
-      po.size = num;
+      po.size = num();
     } else if (flag == "--seed") {
-      po.seed = num;
+      po.seed = num();
     } else {
-      usage();
+      return false;
     }
-  }
-  if (i < argc) {
-    std::cerr << "tcu_cli pool: missing value for '" << argv[i] << "'\n";
-    usage();
+    return true;
+  };
+  parse_flags("pool", argc, argv, apply);
+  if (!tcu::backend_available(po.backend)) {
+    std::cerr << "tcu_cli pool: backend '"
+              << tcu::backend_kind_name(po.backend)
+              << "' is not available in this build (blas needs "
+                 "-DTCU_BLAS=ON)\n";
+    return 2;
   }
 
   // Round dimensions up so the strip/panel decompositions are exact.
   const std::size_t s = tcu::exact_sqrt(po.m);
   const std::size_t d = ((po.size + s - 1) / s) * s;
 
-  std::cout << "pool scenario: workload=" << po.workload << " mode="
-            << (po.mode == tcu::ExecMode::kEpoch ? "epoch" : "barrier")
-            << " backend="
+  std::cout << "pool scenario: workload=" << po.workload << " backend="
             << tcu::backend_kind_name(tcu::resolve_backend_kind(po.backend))
             << " p=" << po.p << " m=" << po.m << " l=" << po.latency
             << " size=" << d << " seed=" << po.seed << "\n";
@@ -653,9 +648,9 @@ int run_pool(int argc, char** argv) {
           tcu::graph::closure_tcu(dev, c.view());
           return c;
         },
-        [&](tcu::DevicePool<tcu::graph::Vert>& pool) {
+        [&](tcu::PoolExecutor<tcu::graph::Vert>& exec) {
           auto c = adj;
-          tcu::graph::closure_tcu(pool, c.view(), po.mode);
+          tcu::graph::closure_tcu(exec, c.view());
           return c;
         });
   }
@@ -678,9 +673,9 @@ int run_pool(int argc, char** argv) {
           tcu::linalg::ge_forward_tcu(dev, c.view());
           return c;
         },
-        [&](tcu::DevicePool<double>& pool) {
+        [&](tcu::PoolExecutor<double>& exec) {
           auto c = x;
-          tcu::linalg::ge_forward_tcu_pool(pool, c.view(), po.mode);
+          tcu::linalg::ge_forward_tcu_pool(exec, c.view());
           return c;
         });
   }
@@ -699,11 +694,9 @@ int run_pool(int argc, char** argv) {
           tcu::dft::dft_batch_tcu(dev, b.view(), {.affinity = true});
           return b;
         },
-        [&](tcu::DevicePool<Complex>& pool) {
+        [&](tcu::PoolExecutor<Complex>& exec) {
           auto b = batch;
-          tcu::PoolExecutor<Complex> exec(pool);
-          tcu::dft::dft_batch_tcu(exec, b.view(),
-                                  {.affinity = true, .mode = po.mode});
+          tcu::dft::dft_batch_tcu(exec, b.view(), {.affinity = true});
           return b;
         });
   }
@@ -720,38 +713,33 @@ int run_pool(int argc, char** argv) {
     return pool_drive<double>(
         po,
         [&](Device<double>& dev) { return mlp.forward(dev, batch.view()); },
-        [&](tcu::DevicePool<double>& pool) {
-          tcu::PoolExecutor<double> exec(pool);
-          return mlp.forward(exec, batch.view(), {.affinity = true},
-                             po.mode);
+        [&](tcu::PoolExecutor<double>& exec) {
+          return mlp.forward(exec, batch.view());
         });
   }
   usage();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc < 2) usage();
-  const std::string command = argv[1];
-  if (command == "fault") return run_fault(argc, argv);
-  if (command == "pool") return run_pool(argc, argv);
+/// The table commands: run one algorithm (or `all`) and print its model
+/// time against the paper's bound.
+int run_table(const std::string& command, int argc, char** argv) {
   Options o;
-  for (int i = 2; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    const auto value = std::strtoull(argv[i + 1], nullptr, 10);
+  const auto apply = [&](const std::string& flag, const std::string& value) {
+    const auto num = [&] { return parse_num(command, flag, value); };
     if (flag == "--m") {
-      o.m = value;
+      o.m = num();
     } else if (flag == "--l") {
-      o.latency = value;
+      o.latency = num();
     } else if (flag == "--size") {
-      o.size = value;
+      o.size = num();
     } else if (flag == "--seed") {
-      o.seed = value;
+      o.seed = num();
     } else {
-      usage();
+      return false;
     }
-  }
+    return true;
+  };
+  parse_flags(command, argc, argv, apply);
 
   const std::map<std::string, Row (*)(const Options&)> commands{
       {"matmul", run_matmul},       {"strassen", run_strassen},
@@ -763,17 +751,12 @@ int main(int argc, char** argv) {
   };
 
   std::vector<Row> rows;
-  try {
-    if (command == "all") {
-      for (const auto& [name, fn] : commands) rows.push_back(fn(o));
-    } else if (auto it = commands.find(command); it != commands.end()) {
-      rows.push_back(it->second(o));
-    } else {
-      usage();
-    }
-  } catch (const std::exception& err) {
-    std::cerr << "tcu_cli: " << err.what() << "\n";
-    return 1;
+  if (command == "all") {
+    for (const auto& [name, fn] : commands) rows.push_back(fn(o));
+  } else if (auto it = commands.find(command); it != commands.end()) {
+    rows.push_back(it->second(o));
+  } else {
+    usage();
   }
 
   std::cout << "(m = " << o.m << ", l = " << o.latency
@@ -789,4 +772,21 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc < 2) usage();
+  const std::string command = argv[1];
+  // Values the model rejects (a non-square --m, --p 0, ...) surface as
+  // exceptions; report them under the subcommand's name.
+  try {
+    if (command == "fault") return run_fault(argc, argv);
+    if (command == "pool") return run_pool(argc, argv);
+    return run_table(command, argc, argv);
+  } catch (const std::exception& err) {
+    std::cerr << "tcu_cli " << command << ": " << err.what() << "\n";
+    return 1;
+  }
 }
