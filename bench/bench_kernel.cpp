@@ -6,9 +6,13 @@
 // int64, complex<double>) x s in {16, 64} x n in {s, 256}. `gflops`
 // (GF/s) counts one multiply and one add of T per multiply-accumulate
 // (2 n s^2 per call, a complex op counting once). micro rows carry the
-// ISA tier they ran as their label (`micro_isa()`, or "scalar" for types
-// with no SIMD kernel). This is the in-repo kernel peak the per-layer
-// numbers are read against; it is machine-dependent and not gated.
+// ISA tier they ran as their label (`micro_isa()`: every type here has a
+// SIMD kernel, so "scalar" only on a CPU without AVX2). This is the
+// in-repo kernel peak the per-layer numbers are read against; it is
+// machine-dependent and not gated. One run on a shared 4-core AVX-512
+// Xeon, s = 16 and n = 256: micro int64 10.0 GF/s against 3.2 for sim,
+// micro complex 8.9 against 1.0, double 31 against 4.6, float 49
+// against 3.9.
 
 #include <benchmark/benchmark.h>
 

@@ -9,17 +9,21 @@
 // wall-clock time (Device::wall_ns) and, for blas, the floating-point
 // rounding may differ:
 //
-//   * micro — the default. float/double run a register-tiled kernel of
-//             4 rows x 2 SIMD vectors (double: 4x16 with AVX-512F, 4x8
-//             with AVX2; float twice as wide), picked once per backend
-//             from the running CPU (`micro_isa()`). Each output
+//   * micro — the default. float, double, int64 and complex<double> run
+//             a register-tiled kernel of 4 rows x 2 SIMD vectors (double,
+//             int64, complex: 4x16 with AVX-512F, 4x8 with AVX2, where
+//             complex takes 4x4; float twice as wide; complex in re/im
+//             planes), picked once per backend from the running CPU
+//             (`micro_isa()`). Each output
 //             element's k-summation keeps the reference order with
 //             separate mul/add, so the results are bit-identical to sim.
 //             backend_micro.cpp must be compiled with -ffp-contract=off
 //             (CMakeLists.txt does so): avx512f implies FMA, and GCC
 //             would otherwise fuse the mul/add and round differently.
-//             Other element types, and CPUs without AVX2, run
-//             `reference_gemm`;
+//             A register tile whose accumulators hold any NaN is
+//             recomputed by `reference_gemm` before C is written, so NaN
+//             payloads and complex Annex G results match sim too. Other
+//             element types, and CPUs without AVX2, run `reference_gemm`;
 //   * sim   — `reference_gemm`, the plain triple loop: the oracle that
 //             tests and benchmarks name explicitly;
 //   * blas  — vendor [sd]gemm behind -DTCU_BLAS=ON (float/double only);
@@ -33,6 +37,7 @@
 // engine-detail fields (the systolic engine's cycle counts); the device
 // owns the charges.
 
+#include <complex>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -75,25 +80,29 @@ BackendKind resolve_backend_kind(BackendKind kind);
 /// only compiled in under -DTCU_BLAS=ON).
 bool backend_available(BackendKind kind);
 
-/// ISA tier the micro backend runs float/double on, detected once per
-/// process: "avx512" (AVX-512F), "avx2" or "scalar" (reference_gemm).
+/// ISA tier the micro backend runs its SIMD types (float, double, int64,
+/// complex<double>) on, detected once per process: "avx512" (AVX-512F),
+/// "avx2" or "scalar" (reference_gemm).
 const char* micro_isa();
 
-/// The reference product: C = A*B (or C += A*B) with each element's sum
-/// taken k-sequentially from C's old value (or zero). SimBackend runs it
-/// for every T and MicroBackend for T without a SIMD kernel; the micro
-/// kernels reproduce its rounding exactly. Kept out of line and aligned
-/// so both backends run one copy whose loops sit at a fixed offset in the
-/// cache line: inlined into each backend, the same loop ran 1.8x slower
-/// in one of them than in the other (int64, s = 64, bench_kernel).
+/// The reference product: C = A*B (or C += A*B) for A n x s and B s x w
+/// (w = s on the seam), with each element's sum taken k-sequentially from
+/// C's old value (or zero). SimBackend runs it for every T; MicroBackend
+/// runs it for T without a SIMD kernel, for column tails narrower than a
+/// vector, and for register tiles that hit a NaN. The micro kernels
+/// reproduce its rounding exactly. Kept out of line and aligned so both
+/// backends run one copy whose loops sit at a fixed offset in the cache
+/// line: inlined into each backend, the same loop ran 1.8x slower in one
+/// of them than in the other (int64, s = 64, bench_kernel).
 template <typename T>
 [[gnu::noinline, gnu::aligned(64)]] void reference_gemm(
     ConstMatrixView<T> A, ConstMatrixView<T> B, MatrixView<T> C,
     bool accumulate) {
   const std::size_t n = A.rows;
   const std::size_t s = B.rows;
+  const std::size_t w = B.cols;  // s, except on the micro kernels' tails
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < s; ++j) {
+    for (std::size_t j = 0; j < w; ++j) {
       T acc = accumulate ? C(i, j) : T{};
       for (std::size_t k = 0; k < s; ++k) acc += A(i, k) * B(k, j);
       C(i, j) = acc;
@@ -101,19 +110,24 @@ template <typename T>
   }
 }
 
-// The float/double instances live in backend_micro.cpp, compiled with
-// -ffp-contract=off, so an includer built with FMA enabled (say
-// -march=native) cannot fuse the reference loop's mul/add either.
+// The float, double and complex<double> instances live in
+// backend_micro.cpp, compiled with -ffp-contract=off, so an includer built
+// with FMA enabled (say -march=native) cannot fuse the reference loop's
+// mul/add, or the ac - bd of its complex product, either.
 extern template void reference_gemm<float>(ConstMatrixView<float>,
                                            ConstMatrixView<float>,
                                            MatrixView<float>, bool);
 extern template void reference_gemm<double>(ConstMatrixView<double>,
                                             ConstMatrixView<double>,
                                             MatrixView<double>, bool);
+extern template void reference_gemm<std::complex<double>>(
+    ConstMatrixView<std::complex<double>>,
+    ConstMatrixView<std::complex<double>>, MatrixView<std::complex<double>>,
+    bool);
 
 namespace backend_detail {
 
-/// Raw float/double kernel over row-major operands: `lda`/`ldb`/`ldc` are
+/// Raw micro kernel over row-major operands: `lda`/`ldb`/`ldc` are
 /// row strides in elements, A is n x s, B is s x s, C is n x s.
 template <typename T>
 using MicroKernel = void (*)(const T* a, std::size_t lda, const T* b,
@@ -125,14 +139,11 @@ enum class MicroTier { kScalar, kAvx2, kAvx512 };
 /// The best tier the running CPU supports (cpuid, read once).
 MicroTier micro_tier();
 
-/// Kernel of `tier` for float/double (backend_micro.cpp); nullptr for
-/// kScalar, or when the target or the running CPU lacks the tier.
+/// Kernel of `tier` (backend_micro.cpp, instantiated for float, double,
+/// int64 and complex<double>); nullptr for kScalar, or when the target or
+/// the running CPU lacks the tier.
 template <typename T>
 MicroKernel<T> micro_kernel(MicroTier tier);
-template <>
-MicroKernel<float> micro_kernel<float>(MicroTier tier);
-template <>
-MicroKernel<double> micro_kernel<double>(MicroTier tier);
 
 #ifdef TCU_BLAS
 // Row-major [sd]gemm wrappers (backend_blas.cpp): C = A*B or C += A*B.
@@ -173,15 +184,18 @@ class SimBackend final : public GemmBackend<T> {
   }
 };
 
-/// The default backend: float/double run the SIMD kernel of the tier
-/// chosen when the backend is built; every other T (and a CPU without
-/// AVX2) runs reference_gemm. Either way each element's sum order — and
-/// so its result — matches SimBackend exactly; only the wall clock
+/// The default backend: float, double, int64 and complex<double> run the
+/// SIMD kernel of the tier chosen when the backend is built; every other
+/// T (and a CPU without AVX2) runs reference_gemm. Either way each
+/// element's result matches SimBackend bit for bit — register tiles that
+/// hit a NaN are recomputed by reference_gemm — and only the wall clock
 /// changes.
 template <typename T>
 class MicroBackend final : public GemmBackend<T> {
   static constexpr bool kSimd =
-      std::is_same_v<T, float> || std::is_same_v<T, double>;
+      std::is_same_v<T, float> || std::is_same_v<T, double> ||
+      std::is_same_v<T, std::int64_t> ||
+      std::is_same_v<T, std::complex<double>>;
 
  public:
   MicroBackend() {
@@ -192,8 +206,8 @@ class MicroBackend final : public GemmBackend<T> {
 
   BackendKind kind() const override { return BackendKind::kMicro; }
 
-  /// The tier this backend runs: micro_isa() for float/double, "scalar"
-  /// (reference_gemm) otherwise.
+  /// The tier this backend runs: micro_isa() for float, double, int64
+  /// and complex<double>, "scalar" (reference_gemm) otherwise.
   const char* isa() const {
     return kernel_ != nullptr ? micro_isa() : "scalar";
   }

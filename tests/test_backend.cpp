@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -119,7 +121,10 @@ TEST(BackendSelect, MicroIsaNamesATier) {
   // always run the reference loop.
   EXPECT_STREQ(tcu::MicroBackend<double>().isa(), tcu::micro_isa());
   EXPECT_STREQ(tcu::MicroBackend<float>().isa(), tcu::micro_isa());
-  EXPECT_STREQ(tcu::MicroBackend<std::int64_t>().isa(), "scalar");
+  EXPECT_STREQ(tcu::MicroBackend<std::int64_t>().isa(), tcu::micro_isa());
+  EXPECT_STREQ(tcu::MicroBackend<std::complex<double>>().isa(),
+               tcu::micro_isa());
+  EXPECT_STREQ(tcu::MicroBackend<std::int32_t>().isa(), "scalar");
   EXPECT_EQ(tcu::backend_detail::micro_kernel<double>(MicroTier::kScalar),
             nullptr);
 }
@@ -171,8 +176,8 @@ TEST(BackendEquivalence, MicroMatchesSimSerial) {
 // ------------------------------------------------- kernel exactness
 
 // Shapes off every register grid: n around the 4-row tile, s around the
-// AVX2 and AVX-512 vector widths (4/8 doubles, 8/16 floats) and their
-// 2-vector tiles.
+// AVX2 and AVX-512 vector widths (4/8 doubles, int64s and complexes, 8/16
+// floats) and their 2-vector tiles.
 constexpr std::size_t kTierRows[] = {1, 3, 4, 5, 13, 37};
 constexpr std::size_t kTierCols[] = {1,  4,  7,  8,  9,  15, 16,
                                      17, 25, 31, 32, 33, 64};
@@ -188,6 +193,15 @@ T random_value(tcu::util::Xoshiro256& rng) {
   }
 }
 
+/// Operands whose products need all 64 bits of the multiply: A up to
+/// 2^40 and B up to 2^15 in magnitude (so the high 32-bit halves of A,
+/// and of every negative value, are nonzero), C up to 2^40. A sum of 64
+/// such products stays below 2^62, so the reference never overflows.
+std::int64_t wide_value(tcu::util::Xoshiro256& rng, char operand) {
+  const std::int64_t bound = operand == 'b' ? 1LL << 15 : 1LL << 40;
+  return rng.uniform_int(-bound, bound);
+}
+
 /// rows x cols values at a row stride of cols + pad; the pad columns are
 /// filled too, so a kernel writing outside its view shows up as a
 /// mismatch against the reference buffer.
@@ -196,10 +210,10 @@ struct Strided {
   std::size_t rows, cols, stride;
   std::vector<T> buf;
 
-  Strided(std::size_t r, std::size_t c, std::size_t pad,
-          tcu::util::Xoshiro256& rng)
+  template <typename Value>
+  Strided(std::size_t r, std::size_t c, std::size_t pad, Value value)
       : rows(r), cols(c), stride(c + pad), buf(r * (c + pad)) {
-    for (auto& x : buf) x = random_value<T>(rng);
+    for (auto& x : buf) x = value();
   }
   tcu::MatrixView<T> view() {
     return tcu::MatrixView<T>(buf.data(), rows, cols, stride);
@@ -214,17 +228,25 @@ struct Strided {
 
 /// Runs `product(A, B, C, accumulate)` against reference_gemm over the
 /// whole shape grid, contiguous and strided, overwrite and accumulate,
-/// and compares every byte of C's storage.
+/// and compares every byte of C's storage. `value(rng, operand)` draws
+/// the entries of operand 'a', 'b' or 'c' (C's old values).
 template <typename T, typename Product>
-void expect_matches_reference(Product product) {
+void expect_matches_reference(Product product,
+                              T (*value)(tcu::util::Xoshiro256&, char) =
+                                  [](tcu::util::Xoshiro256& rng, char) {
+                                    return random_value<T>(rng);
+                                  }) {
   tcu::util::Xoshiro256 rng(4242);
+  const auto draw = [&](char operand) {
+    return [&, operand] { return value(rng, operand); };
+  };
   for (const std::size_t n : kTierRows) {
     for (const std::size_t s : kTierCols) {
       for (const std::size_t pad : {0u, 3u}) {
         for (const bool accumulate : {false, true}) {
-          const Strided<T> a(n, s, pad, rng);
-          const Strided<T> b(s, s, 2 * pad, rng);
-          Strided<T> want(n, s, pad + 1, rng);
+          const Strided<T> a(n, s, pad, draw('a'));
+          const Strided<T> b(s, s, 2 * pad, draw('b'));
+          Strided<T> want(n, s, pad + 1, draw('c'));
           Strided<T> got = want;
           tcu::reference_gemm(a.cview(), b.cview(), want.view(), accumulate);
           product(a.cview(), b.cview(), got.view(), accumulate);
@@ -237,16 +259,101 @@ void expect_matches_reference(Product product) {
   }
 }
 
+/// The raw kernel of `tier` as a product; callers skip a missing tier.
 template <typename T>
-void expect_tier_exact(MicroTier tier) {
+auto tier_product(MicroTier tier) {
   const auto kernel = tcu::backend_detail::micro_kernel<T>(tier);
-  if (kernel == nullptr) GTEST_SKIP() << "tier not supported by this CPU";
-  expect_matches_reference<T>([kernel](tcu::ConstMatrixView<T> a,
-                                       tcu::ConstMatrixView<T> b,
-                                       tcu::MatrixView<T> c, bool acc) {
+  return [kernel](tcu::ConstMatrixView<T> a, tcu::ConstMatrixView<T> b,
+                  tcu::MatrixView<T> c, bool acc) {
     kernel(a.data, a.stride, b.data, b.stride, c.data, c.stride, a.rows,
            b.rows, acc);
-  });
+  };
+}
+
+template <typename T>
+void expect_tier_exact(MicroTier tier) {
+  if (tcu::backend_detail::micro_kernel<T>(tier) == nullptr) {
+    GTEST_SKIP() << "tier not supported by this CPU";
+  }
+  expect_matches_reference<T>(tier_product<T>(tier));
+  if constexpr (std::is_same_v<T, std::int64_t>) {
+    expect_matches_reference<T>(tier_product<T>(tier), &wide_value);
+  }
+}
+
+/// Plants `x` at A(i, k) and `y` at B(k, j), so they meet in one product
+/// of C(i, j), and sets C(i, j) = `c` as its old value. The plant sits in
+/// a 2-vector tile, a 1-vector tile or the scalar column tail depending
+/// on the shape and spot; the rest of each operand is random. Every byte
+/// of C must match reference_gemm, overwrite and accumulate.
+template <typename T, typename Product>
+void expect_planted_matches_reference(Product product, T x, T y, T c) {
+  tcu::util::Xoshiro256 rng(977);
+  const auto random = [&] { return random_value<T>(rng); };
+  for (const std::size_t n : {1u, 5u, 13u}) {
+    for (const std::size_t s : {4u, 9u, 17u, 33u, 64u}) {
+      const std::size_t spots[][3] = {
+          {0, 0, 0}, {n / 2, s / 2, 1 % s}, {n - 1, s - 1, s - 1}};
+      for (const auto& [i, j, k] : spots) {
+        for (const bool accumulate : {false, true}) {
+          Strided<T> a(n, s, 1, random);
+          Strided<T> b(s, s, 0, random);
+          Strided<T> want(n, s, 2, random);
+          a.buf[i * a.stride + k] = x;
+          b.buf[k * b.stride + j] = y;
+          want.buf[i * want.stride + j] = c;
+          Strided<T> got = want;
+          tcu::reference_gemm(a.cview(), b.cview(), want.view(), accumulate);
+          product(a.cview(), b.cview(), got.view(), accumulate);
+          EXPECT_TRUE(got.bits_equal(want))
+              << "n=" << n << " s=" << s << " spot=(" << i << ", " << j
+              << ", " << k << ") accumulate=" << accumulate;
+        }
+      }
+    }
+  }
+}
+
+/// A's NaN payload times B's sign-flipped NaN payload: x86 keeps the
+/// first operand's, so only the reference's own operand order gives its
+/// bits. Also a NaN old C value.
+template <typename T, typename Product>
+void expect_nan_payloads_match_reference(Product product) {
+  const auto nan = [](bool negative, std::uint32_t payload) {
+    if constexpr (std::is_same_v<T, double>) {
+      return std::bit_cast<T>((negative ? 0xfff8000000000000ULL
+                                        : 0x7ff8000000000000ULL) |
+                              payload);
+    } else {
+      return std::bit_cast<T>((negative ? 0xffc00000U : 0x7fc00000U) |
+                              payload);
+    }
+  };
+  const T x = nan(false, 0x111);
+  const T y = nan(true, 0x222);
+  expect_planted_matches_reference<T>(product, x, y, T(1));
+  expect_planted_matches_reference<T>(product, T(2), T(3), y);
+}
+
+/// Products where libstdc++'s complex multiply differs from the plain
+/// re/im formula (Annex G recovers an infinity from NaN parts) or where
+/// NaN payloads and signed zeros decide the bits.
+template <typename Product>
+void expect_complex_specials_match_reference(Product product) {
+  using C = std::complex<double>;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const C one(1, 0);
+  // (inf, 0) x (inf, inf): both parts NaN, Annex G gives an infinity.
+  expect_planted_matches_reference<C>(product, C(inf, 0), C(inf, inf), one);
+  expect_planted_matches_reference<C>(product, C(nan, 1), C(2, -3), one);
+  // 1e308 squared overflows, and inf - inf gives NaN in the real part.
+  expect_planted_matches_reference<C>(product, C(1e308, 1e308),
+                                      C(1e308, -1e308), one);
+  expect_planted_matches_reference<C>(product, C(-0.0, -0.0), C(-0.0, 1),
+                                      C(-0.0, -0.0));
+  // A NaN old value of C, seen only with accumulate on.
+  expect_planted_matches_reference<C>(product, one, one, C(nan, -0.0));
 }
 
 /// Inputs whose bits expose a product that rounds differently from the
@@ -326,6 +433,50 @@ TEST(MicroKernelExactness, Avx2DoubleMatchesReference) {
 TEST(MicroKernelExactness, Avx2FloatMatchesReference) {
   expect_tier_exact<float>(MicroTier::kAvx2);
 }
+TEST(MicroKernelExactness, Avx512Int64MatchesReference) {
+  expect_tier_exact<std::int64_t>(MicroTier::kAvx512);
+}
+TEST(MicroKernelExactness, Avx512ComplexMatchesReference) {
+  expect_tier_exact<std::complex<double>>(MicroTier::kAvx512);
+}
+TEST(MicroKernelExactness, Avx2Int64MatchesReference) {
+  expect_tier_exact<std::int64_t>(MicroTier::kAvx2);
+}
+TEST(MicroKernelExactness, Avx2ComplexMatchesReference) {
+  expect_tier_exact<std::complex<double>>(MicroTier::kAvx2);
+}
+
+template <typename T>
+void expect_tier_nan_payloads_exact(MicroTier tier) {
+  if (tcu::backend_detail::micro_kernel<T>(tier) == nullptr) {
+    GTEST_SKIP() << "tier not supported by this CPU";
+  }
+  expect_nan_payloads_match_reference<T>(tier_product<T>(tier));
+}
+
+TEST(MicroKernelExactness, Avx512NanPayloadsMatchReference) {
+  expect_tier_nan_payloads_exact<double>(MicroTier::kAvx512);
+  expect_tier_nan_payloads_exact<float>(MicroTier::kAvx512);
+}
+TEST(MicroKernelExactness, Avx2NanPayloadsMatchReference) {
+  expect_tier_nan_payloads_exact<double>(MicroTier::kAvx2);
+  expect_tier_nan_payloads_exact<float>(MicroTier::kAvx2);
+}
+
+void expect_tier_complex_specials_exact(MicroTier tier) {
+  using C = std::complex<double>;
+  if (tcu::backend_detail::micro_kernel<C>(tier) == nullptr) {
+    GTEST_SKIP() << "tier not supported by this CPU";
+  }
+  expect_complex_specials_match_reference(tier_product<C>(tier));
+}
+
+TEST(MicroKernelExactness, Avx512ComplexSpecialsMatchReference) {
+  expect_tier_complex_specials_exact(MicroTier::kAvx512);
+}
+TEST(MicroKernelExactness, Avx2ComplexSpecialsMatchReference) {
+  expect_tier_complex_specials_exact(MicroTier::kAvx2);
+}
 TEST(MicroKernelExactness, Avx512RoundsLikeReference) {
   expect_tier_rounds_like_reference<double>(MicroTier::kAvx512);
   expect_tier_rounds_like_reference<float>(MicroTier::kAvx512);
@@ -349,6 +500,23 @@ TEST(MicroKernelExactness, MicroBackendMatchesReferenceForEveryType) {
   expect_micro_backend_exact<float>();
   expect_micro_backend_exact<std::int64_t>();
   expect_micro_backend_exact<std::complex<double>>();
+}
+
+TEST(MicroKernelExactness, MicroBackendMatchesReferenceOnNanAndInf) {
+  // The backend as Device runs it, on the NaN/inf plants above, so a CPU
+  // without AVX2 (reference_gemm throughout) runs them too.
+  const auto run = [](auto& micro) {
+    return [&micro](auto a, auto b, auto c, bool acc) {
+      Counters unused;
+      micro.run(a, b, c, acc, unused);
+    };
+  };
+  tcu::MicroBackend<double> micro_d;
+  tcu::MicroBackend<float> micro_f;
+  tcu::MicroBackend<std::complex<double>> micro_c;
+  expect_nan_payloads_match_reference<double>(run(micro_d));
+  expect_nan_payloads_match_reference<float>(run(micro_f));
+  expect_complex_specials_match_reference(run(micro_c));
 }
 
 // --------------------------------------------------- pooled bit-identity
