@@ -7,6 +7,7 @@
 // device without copying (mirroring how real TCU instructions take memory
 // addresses, Section 3 of the paper).
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -185,10 +186,26 @@ class TiledMatrix {
   /// tile-major packer; padding stays zero).
   static TiledMatrix pack(ConstMatrixView<T> src, std::size_t tile_dim) {
     TiledMatrix out(src.rows, src.cols, tile_dim);
-    for (std::size_t i = 0; i < src.rows; ++i) {
-      for (std::size_t j = 0; j < src.cols; ++j) out.at(i, j) = src(i, j);
-    }
+    out.pack_from(src);
     return out;
+  }
+
+  /// Overwrite the logical region from a row-major view of the same
+  /// shape, one contiguous copy per row of each strip; padding is left
+  /// as it is.
+  void pack_from(ConstMatrixView<T> src) {
+    if (src.rows != rows_ || src.cols != cols_) {
+      throw std::invalid_argument("TiledMatrix::pack_from: shape mismatch");
+    }
+    for (std::size_t tj = 0; tj < tile_cols_; ++tj) {
+      const std::size_t j0 = tj * s_;
+      const std::size_t w = std::min(s_, cols_ - j0);
+      T* dst = strip_ptr(tj);
+      for (std::size_t i = 0; i < rows_; ++i) {
+        const T* row = src.data + i * src.stride + j0;
+        std::copy(row, row + w, dst + i * s_);
+      }
+    }
   }
 
   std::size_t rows() const { return rows_; }  ///< logical rows
@@ -229,7 +246,7 @@ class TiledMatrix {
     return tile_ptr(ti, tj);
   }
 
-  /// Logical element access (pack/unpack convenience; not a hot path).
+  /// Logical element access (not a hot path).
   T& at(std::size_t i, std::size_t j) {
     assert(i < rows_ && j < cols_);
     return tile_ptr(i / s_, j / s_)[(i % s_) * s_ + j % s_];
@@ -239,13 +256,20 @@ class TiledMatrix {
     return tile_ptr(i / s_, j / s_)[(i % s_) * s_ + j % s_];
   }
 
-  /// Unpack the logical region into a row-major destination.
+  /// Unpack the logical region into a row-major destination, one
+  /// contiguous copy per row of each strip.
   void unpack_into(MatrixView<T> dst) const {
     if (dst.rows != rows_ || dst.cols != cols_) {
       throw std::invalid_argument("TiledMatrix::unpack_into: shape mismatch");
     }
-    for (std::size_t i = 0; i < rows_; ++i) {
-      for (std::size_t j = 0; j < cols_; ++j) dst(i, j) = at(i, j);
+    for (std::size_t tj = 0; tj < tile_cols_; ++tj) {
+      const std::size_t j0 = tj * s_;
+      const std::size_t w = std::min(s_, cols_ - j0);
+      const T* src = strip_ptr(tj);
+      for (std::size_t i = 0; i < rows_; ++i) {
+        const T* row = src + i * s_;
+        std::copy(row, row + w, dst.data + i * dst.stride + j0);
+      }
     }
   }
 
@@ -258,6 +282,13 @@ class TiledMatrix {
   }
 
  private:
+  /// First element of tile-column tj (its padded_rows x s block).
+  T* strip_ptr(std::size_t tj) {
+    return data_.data() + tj * tile_rows_ * s_ * s_;
+  }
+  const T* strip_ptr(std::size_t tj) const {
+    return data_.data() + tj * tile_rows_ * s_ * s_;
+  }
   T* tile_ptr(std::size_t ti, std::size_t tj) {
     assert(ti < tile_rows_ && tj < tile_cols_);
     return data_.data() + (tj * tile_rows_ + ti) * s_ * s_;

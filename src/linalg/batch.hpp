@@ -20,18 +20,17 @@ namespace tcu::linalg {
 
 namespace detail {
 
+/// Every batch item must share one shape whose width is B's row count.
 template <typename T>
-void validate_batch(const std::vector<Matrix<T>>& batch,
-                    ConstMatrixView<T> B) {
+void validate_batch(const std::vector<Matrix<T>>& batch, std::size_t inner) {
   const std::size_t rows = batch.front().rows();
-  const std::size_t inner = batch.front().cols();
   for (const auto& item : batch) {
-    if (item.rows() != rows || item.cols() != inner) {
+    if (item.rows() != rows || item.cols() != batch.front().cols()) {
       throw std::invalid_argument(
           "matmul_batch_shared_b: heterogeneous batch shapes");
     }
   }
-  if (inner != B.rows) {
+  if (batch.front().cols() != inner) {
     throw std::invalid_argument("matmul_batch_shared_b: inner mismatch");
   }
 }
@@ -89,7 +88,7 @@ std::vector<Matrix<T>> matmul_batch_shared_b(
     Device<T>& dev, const std::vector<Matrix<T>>& batch,
     std::type_identity_t<ConstMatrixView<T>> B) {
   if (batch.empty()) return {};
-  detail::validate_batch(batch, B);
+  detail::validate_batch(batch, B.rows);
   Matrix<T> stacked = detail::stack_batch(batch);
   dev.charge_cpu(stacked.rows() * stacked.cols());
   Matrix<T> product(stacked.rows(), B.cols, T{});
@@ -100,22 +99,23 @@ std::vector<Matrix<T>> matmul_batch_shared_b(
 
 /// Multi-unit batched product over a caller-owned persistent executor:
 /// the stacked tall operand's output strips run across the pool's worker
-/// threads (ragged shapes are padded in worker-local scratch), and by
-/// default the B tiles are dealt with affinity — a steady stream of
-/// batches against the same resident B pays each tile's load latency
-/// once, not once per round, with the units' `resident_hits` counters
-/// recording the savings. Pass `{.affinity = false}` for PR 1's pure
-/// least-loaded reload-every-round schedule (the benches use it as the
-/// comparison baseline). A deep shared B (chain k > 1) can pass
-/// `{.affinity = true, .split_chains = true}` to split the chains at tile
-/// granularity when the cache capacity is below k.
+/// threads (a ragged operand is packed once into a zero-padded
+/// TiledMatrix), and by default the B tiles are dealt with affinity — a
+/// steady stream of batches against the same resident B pays each tile's
+/// load latency once, not once per round, with the units'
+/// `resident_hits` counters recording the savings. Pass
+/// `{.affinity = false}` for the pure least-loaded reload-every-round
+/// schedule (the benches use it as the comparison baseline). A deep
+/// shared B (chain k > 1) can pass `{.affinity = true, .split_chains =
+/// true}` to split the chains at tile granularity when the cache
+/// capacity is below k.
 template <typename T>
 std::vector<Matrix<T>> matmul_batch_shared_b(
     PoolExecutor<T>& exec, const std::vector<Matrix<T>>& batch,
     std::type_identity_t<ConstMatrixView<T>> B,
     PoolMatmulOptions opts = {.affinity = true}) {
   if (batch.empty()) return {};
-  detail::validate_batch(batch, B);
+  detail::validate_batch(batch, B.rows);
   Matrix<T> stacked = detail::stack_batch(batch);
   exec.pool().charge_cpu(stacked.rows() * stacked.cols());
   Matrix<T> product = matmul_tcu_pool(exec, stacked.view(), B, opts);
@@ -128,27 +128,15 @@ std::vector<Matrix<T>> matmul_batch_shared_b(
 /// written C strips reach the devices as contiguous blocks — the layout
 /// real TCU DMA wants. The pack/unpack relayouts are charged as CPU work
 /// (pack_cost each way) on top of the stack/unstack copies; the tensor
-/// stream covers the padded shapes, so ragged batches charge the padded
-/// rows (the row-major overload's scratch path charges the equivalent
-/// padding work per call instead). B must outlive the call and carries
-/// its tile addresses as residency keys.
+/// stream covers the logical rows, as in the row-major overload. B must
+/// outlive the call and carries its tile addresses as residency keys.
 template <typename T>
 std::vector<Matrix<T>> matmul_batch_shared_b(
     PoolExecutor<T>& exec, const std::vector<Matrix<T>>& batch,
     const TiledMatrix<T>& B, PoolMatmulOptions opts = {.affinity = true}) {
   if (batch.empty()) return {};
+  detail::validate_batch(batch, B.rows());
   const std::size_t s = B.tile_dim();
-  const std::size_t rows = batch.front().rows();
-  const std::size_t inner = batch.front().cols();
-  for (const auto& item : batch) {
-    if (item.rows() != rows || item.cols() != inner) {
-      throw std::invalid_argument(
-          "matmul_batch_shared_b: heterogeneous batch shapes");
-    }
-  }
-  if (inner != B.rows()) {
-    throw std::invalid_argument("matmul_batch_shared_b: inner mismatch");
-  }
   Matrix<T> stacked = detail::stack_batch(batch);
   exec.pool().charge_cpu(stacked.rows() * stacked.cols());
   TiledMatrix<T> A = TiledMatrix<T>::pack(stacked.view(), s);

@@ -10,9 +10,12 @@
 // (semiring lower-bound discussion in Theorem 2's proof).
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <type_traits>
+#include <vector>
 
 #include "check/contract.hpp"
 #include "core/device.hpp"
@@ -48,109 +51,192 @@ Matrix<T> matmul_naive(ConstMatrixView<T> A, ConstMatrixView<T> B,
   return C;
 }
 
+/// An operand of the dense products in either layout: a row-major view
+/// or a TiledMatrix (`InOperand` reads, `OutOperand` writes). Products cut
+/// it into sqrt(m)-wide column strips through `block` alone: a view
+/// yields subviews of the caller's storage, a TiledMatrix its strip views
+/// (a tile is an s-row slice of its strip, i.e. `tile_view`), truncated to
+/// the logical rows. A row-major operand whose strips would run past its
+/// edge gets the zero-padded TiledMatrix `packed`, owned by the operand
+/// and by every pool task holding a copy of it.
+template <typename View, typename Tiled>
+struct Operand {
+  template <typename V>
+    requires std::convertible_to<V, View>
+  Operand(V v) : view(v) {}  // NOLINT: implicit by design
+  Operand(Tiled& m) : tiled(&m) {}  // NOLINT: implicit by design
+
+  std::size_t rows() const { return tiled ? tiled->rows() : view.rows; }
+  std::size_t cols() const { return tiled ? tiled->cols() : view.cols; }
+
+  /// Rows [r0, r0 + nr) of column strip t, w <= s columns wide.
+  View block(std::size_t r0, std::size_t nr, std::size_t t, std::size_t s,
+             std::size_t w) const {
+    return tiled ? tiled->strip_view(t).subview(r0, 0, nr, w)
+                 : view.subview(r0, t * s, nr, w);
+  }
+
+  View view{};             ///< the caller's row-major storage, if any
+  Tiled* tiled = nullptr;  ///< tile-major storage: the caller's or `packed`
+  std::shared_ptr<std::remove_const_t<Tiled>> packed;
+};
+
+template <typename T>
+using InOperand = Operand<ConstMatrixView<T>, const TiledMatrix<T>>;
+template <typename T>
+using OutOperand = Operand<MatrixView<T>, TiledMatrix<T>>;
+
 namespace detail {
 
-/// One ragged output strip [jb, jb + jw) of the zero-padded Theorem 2
-/// path: pad each B tile and the matching A strip into caller-provided
-/// scratch, run the chain of tall calls, copy the result out. Shared by
-/// the serial path (which reuses one scratch set across strips) and the
-/// pool workers (task-local scratch) so their operations and CPU charges
-/// cannot drift apart — the pool's bit-identical-to-serial contract
-/// depends on it. `do_gemm(kb, a, b, c, accumulate)` issues the tensor
-/// call, letting the pool path tag resident-operand keys.
-template <typename T, typename GemmFn>
-void ragged_strip_into(Device<T>& dev, ConstMatrixView<T> A,
-                       ConstMatrixView<T> B, MatrixView<T> C, std::size_t jb,
-                       Matrix<T>& b_tile, Matrix<T>& a_strip,
-                       Matrix<T>& c_strip, GemmFn&& do_gemm) {
-  const std::size_t s = dev.tile_dim();
-  const std::size_t p = A.rows, q = A.cols, r = B.cols;
-  const std::size_t jw = std::min(s, r - jb);
-  c_strip.fill(T{});
-  for (std::size_t kb = 0; kb < q; kb += s) {
-    const std::size_t kw = std::min(s, q - kb);
-    b_tile.fill(T{});
-    for (std::size_t i = 0; i < kw; ++i) {
-      for (std::size_t j = 0; j < jw; ++j) {
-        b_tile(i, j) = B(kb + i, jb + j);
-      }
-    }
-    a_strip.fill(T{});
-    for (std::size_t i = 0; i < p; ++i) {
-      for (std::size_t k = 0; k < kw; ++k) a_strip(i, k) = A(i, kb + k);
-    }
-    dev.charge_cpu(kw * jw + p * kw);
-    do_gemm(kb, a_strip.view().as_const(), b_tile.view().as_const(),
-            c_strip.view(), /*accumulate=*/kb != 0);
-  }
-  for (std::size_t i = 0; i < p; ++i) {
-    for (std::size_t j = 0; j < jw; ++j) C(i, jb + j) = c_strip(i, j);
-  }
-  dev.charge_cpu(p * jw);
-}
-
-/// The whole Theorem 2 schedule — aligned fast path and ragged scratch
-/// path — around a caller-supplied tensor-call body, so the untagged and
-/// residency-tagged products run the bit-identical tiling and can never
-/// drift apart. `do_gemm(kb, jb, a, b, c, accumulate)` issues the call.
-template <typename T, typename GemmFn>
-void tiled_matmul_into(Device<T>& dev, ConstMatrixView<T> A,
-                       ConstMatrixView<T> B, MatrixView<T> C,
-                       GemmFn&& do_gemm) {
-  if (A.cols != B.rows || C.rows != A.rows || C.cols != B.cols) {
-    throw std::invalid_argument("matmul_tcu: shape mismatch");
-  }
-  const std::size_t s = dev.tile_dim();
-  const std::size_t p = A.rows, q = A.cols, r = B.cols;
-  const bool ragged = (p % s) || (q % s) || (r % s);
-
-  if (!ragged) {
-    for (std::size_t jb = 0; jb < r; jb += s) {
-      for (std::size_t kb = 0; kb < q; kb += s) {
-        do_gemm(kb, jb, A.subview(0, kb, p, s), B.subview(kb, jb, s, s),
-                C.subview(0, jb, p, s), /*accumulate=*/kb != 0);
-      }
+/// Give a row-major operand zero-padded tile-major storage when its
+/// strips need padding (an input's is filled by Theorem2::pack_inputs).
+/// A caller's TiledMatrix must match the tile dimension and is used as
+/// is.
+template <typename View, typename Tiled>
+void pad(Operand<View, Tiled>& op, bool ragged, std::size_t s) {
+  if (op.tiled) {
+    if (op.tiled->tile_dim() != s) {
+      throw std::invalid_argument(
+          "matmul_tcu: TiledMatrix tile_dim must equal the device's sqrt(m)");
     }
     return;
   }
+  if (!ragged) return;
+  op.packed = std::make_shared<std::remove_const_t<Tiled>>(op.view.rows,
+                                                           op.view.cols, s);
+  op.tiled = op.packed.get();
+}
 
-  // Ragged path: pad each operand tile/strip into scratch buffers.
-  Matrix<T> b_tile(s, s, T{});
-  Matrix<T> a_strip(p, s, T{});
-  Matrix<T> c_strip(p, s, T{});
-  for (std::size_t jb = 0; jb < r; jb += s) {
-    ragged_strip_into(
-        dev, A, B, C, jb, b_tile, a_strip, c_strip,
-        [&do_gemm, jb](std::size_t kb, ConstMatrixView<T> a,
-                       ConstMatrixView<T> b, MatrixView<T> c,
-                       bool accumulate) {
-          do_gemm(kb, jb, a, b, c, accumulate);
-        });
+/// The Theorem 2 / Corollary 1 schedule of one product C = A * B, for
+/// every layout, serial or pooled: output strip jt is the chain of tall
+/// calls A-strip(kt) x B-tile(kt, jt) over kt. Only operands whose strips
+/// run past a ragged edge are padded — A when q % s != 0, B when q or r
+/// is ragged, C when r % s != 0 — each once, into a zero-padded
+/// TiledMatrix: inputs are packed (`pack_inputs`, pack_cost each) and a
+/// padded C is copied back row range by row range as its strips finish.
+/// Rows never are: every call streams any number of rows.
+template <typename T>
+struct Theorem2 {
+  Theorem2(std::size_t tile, InOperand<T> a_, InOperand<T> b_,
+           OutOperand<T> c_, bool keyed, const TileKeyFn& tile_key,
+           bool pad_c)
+      : s(tile),
+        rows(a_.rows()),
+        cols(b_.cols()),
+        k_tiles((a_.cols() + tile - 1) / tile),
+        strips((b_.cols() + tile - 1) / tile),
+        a(std::move(a_)),
+        b(std::move(b_)),
+        c(std::move(c_)) {
+    if (a.cols() != b.rows() || c.rows() != rows || c.cols() != cols) {
+      throw std::invalid_argument("matmul_tcu: shape mismatch");
+    }
+    const bool ragged_q = a.cols() % s != 0, ragged_r = cols % s != 0;
+    pad(a, ragged_q, s);
+    pad(b, ragged_q || ragged_r, s);
+    pad(c, pad_c && ragged_r, s);
+    for (const InOperand<T>* in : {&a, &b}) {
+      if (in->packed) pack_ops += in->packed->pack_cost();
+    }
+    // Keys name the caller's B: a packed temporary never lends its own
+    // addresses as residency identities.
+    if (keyed) {
+      chains.resize(strips);
+      for (std::size_t jt = 0; jt < strips; ++jt) {
+        chains[jt].reserve(k_tiles);
+        for (std::size_t kt = 0; kt < k_tiles; ++kt) {
+          chains[jt].push_back(
+              tile_key ? tile_key(kt * s, jt * s)
+                       : reinterpret_cast<std::uintptr_t>(
+                             b.packed || !b.tiled ? &b.view(kt * s, jt * s)
+                                                  : b.tiled->tile_data(kt, jt)));
+        }
+      }
+    }
+  }
+
+  /// Fill the padded inputs from the caller's views: `pack_ops` of CPU
+  /// work, for the caller to charge.
+  void pack_inputs() const {
+    for (const InOperand<T>* in : {&a, &b}) {
+      if (in->packed) in->packed->pack_from(in->view);
+    }
+  }
+
+  /// Tiles [kt0, kt1) of strip jt's chain over rows [r0, r0 + out.rows)
+  /// of A, accumulated into `out` from scratch.
+  void chain(Device<T>& dev, MatrixView<T> out, std::size_t jt,
+             std::size_t r0, std::size_t kt0, std::size_t kt1) const {
+    for (std::size_t kt = kt0; kt < kt1; ++kt) {
+      const ConstMatrixView<T> x = a.block(r0, out.rows, kt, s, s);
+      const ConstMatrixView<T> w = b.block(kt * s, s, jt, s, s);
+      if (!chains.empty()) {
+        dev.gemm_resident(chains[jt][kt], x, w, out, kt != kt0);
+      } else {
+        // tcu-lint: untagged-ok(untagged product: matmul_tcu_into's cold-stream baseline, or a pool task dealt by plain submit)
+        dev.gemm(x, w, out, kt != kt0);
+      }
+    }
+  }
+
+  /// The one strip body: rows [r0, r0 + nr) of output strip jt — its
+  /// whole chain, then, for a padded C, those rows copied back to the
+  /// caller's C one contiguous segment at a time (charged to `dev`).
+  void strip(Device<T>& dev, std::size_t jt, std::size_t r0,
+             std::size_t nr) const {
+    const MatrixView<T> out = c.block(r0, nr, jt, s, s);
+    chain(dev, out, jt, r0, 0, k_tiles);
+    if (!c.packed) return;
+    const std::size_t w = width(jt);
+    for (std::size_t i = 0; i < nr; ++i) {
+      const T* row = &out(i, 0);
+      std::copy(row, row + w, &c.view(r0 + i, jt * s));
+    }
+    dev.charge_cpu(static_cast<std::uint64_t>(nr) * w);
+  }
+
+  /// Logical width of output strip jt.
+  std::size_t width(std::size_t jt) const {
+    return std::min(s, cols - jt * s);
+  }
+
+  std::size_t s, rows, cols, k_tiles, strips;
+  InOperand<T> a, b;
+  OutOperand<T> c;
+  std::vector<std::vector<std::uint64_t>> chains;  ///< per strip; empty = untagged
+  std::uint64_t pack_ops = 0;  ///< CPU work of pack_inputs
+};
+
+/// Run a planned product strip by strip on one device.
+template <typename T>
+void run_serial(Device<T>& dev, const Theorem2<T>& plan) {
+  plan.pack_inputs();
+  dev.charge_cpu(plan.pack_ops);
+  for (std::size_t jt = 0; jt < plan.strips; ++jt) {
+    plan.strip(dev, jt, 0, plan.rows);
   }
 }
 
 }  // namespace detail
 
-/// Theorem 2 (and Corollary 1 for rectangular shapes): C += A * B computed
+/// Theorem 2 (and Corollary 1 for rectangular shapes): C = A * B computed
 /// by tiling B into sqrt(m) x sqrt(m) blocks and streaming the matching
-/// tall strip of A through the unit once per block. Ragged edges are
-/// zero-padded into scratch tiles (the paper assumes divisibility; padding
-/// only adds lower-order CPU work, charged honestly).
+/// tall strip of A through the unit once per block. Each operand may be a
+/// row-major view or a TiledMatrix. Ragged edges are zero-padded by
+/// packing the affected operand once (the paper assumes divisibility;
+/// padding only adds lower-order CPU work, charged as one pack_cost per
+/// packed operand).
 template <typename T>
-void matmul_tcu_into(Device<T>& dev, std::type_identity_t<ConstMatrixView<T>> A,
-                     std::type_identity_t<ConstMatrixView<T>> B,
-                     std::type_identity_t<MatrixView<T>> C) {
+void matmul_tcu_into(Device<T>& dev, std::type_identity_t<InOperand<T>> A,
+                     std::type_identity_t<InOperand<T>> B,
+                     std::type_identity_t<OutOperand<T>> C) {
   // The untagged Theorem 2 baseline by definition streams every tile
   // cold; benches compare it against the resident-tagged variant, so it
   // must not borrow residency from earlier work either.
   check::AllowUntaggedClobber allow_clobber;
-  detail::tiled_matmul_into(
-      dev, A, B, C,
-      [&dev](std::size_t, std::size_t, ConstMatrixView<T> a,
-             ConstMatrixView<T> b, MatrixView<T> c, bool accumulate) {
-        // tcu-lint: untagged-ok(Theorem 2 cold-stream baseline)
-        dev.gemm(a, b, c, accumulate);
-      });
+  detail::run_serial(dev, detail::Theorem2<T>(dev.tile_dim(), A, B, C,
+                                              /*keyed=*/false, {},
+                                              /*pad_c=*/true));
 }
 
 /// Allocating wrapper for `matmul_tcu_into`.
@@ -170,22 +256,21 @@ Matrix<T> matmul_tcu(Device<T>& dev, std::type_identity_t<ConstMatrixView<T>> A,
 /// and in the weak model the square calls of one tall split share their
 /// tile's single load. This is the serial half of the §3 asymmetry
 /// property the pool's affinity dealer realizes across lanes.
+///
+/// Keys default to B's storage: `&B(kb, jb)` for a row-major B (even when
+/// a ragged B is packed for the call), the tile's address for a
+/// TiledMatrix — stable while B lives unchanged; callers that repack or
+/// recycle B must evict_all. A TileKeyFn receives element origins
+/// (kt*s, jt*s) and overrides both.
 template <typename T>
 void matmul_tcu_resident_into(Device<T>& dev,
-                              std::type_identity_t<ConstMatrixView<T>> A,
-                              std::type_identity_t<ConstMatrixView<T>> B,
-                              std::type_identity_t<MatrixView<T>> C,
+                              std::type_identity_t<InOperand<T>> A,
+                              std::type_identity_t<InOperand<T>> B,
+                              std::type_identity_t<OutOperand<T>> C,
                               const TileKeyFn& tile_key = {}) {
-  detail::tiled_matmul_into(
-      dev, A, B, C,
-      [&dev, &B, &tile_key](std::size_t kb, std::size_t jb,
-                            ConstMatrixView<T> a, ConstMatrixView<T> b,
-                            MatrixView<T> c, bool accumulate) {
-        const std::uint64_t key =
-            tile_key ? tile_key(kb, jb)
-                     : reinterpret_cast<std::uintptr_t>(&B(kb, jb));
-        dev.gemm_resident(key, a, b, c, accumulate);
-      });
+  detail::run_serial(dev, detail::Theorem2<T>(dev.tile_dim(), A, B, C,
+                                              /*keyed=*/true, tile_key,
+                                              /*pad_c=*/true));
 }
 
 /// Allocating wrapper for `matmul_tcu_resident_into`.
@@ -197,91 +282,6 @@ Matrix<T> matmul_tcu_resident(Device<T>& dev,
   Matrix<T> C(A.rows, B.cols, T{});
   matmul_tcu_resident_into(dev, A, B, C.view(), tile_key);
   return C;
-}
-
-namespace detail {
-
-/// Shape/tile-dim validation shared by the tile-major products.
-template <typename T>
-void validate_tiled_b(const Device<T>& dev, const TiledMatrix<T>& B) {
-  if (B.tile_dim() != dev.tile_dim()) {
-    throw std::invalid_argument(
-        "matmul tiled: B tile_dim must equal the device's sqrt(m)");
-  }
-}
-
-/// Default identity of a tile-major B's tile (kt, jt): the tile's storage
-/// address — stable for the TiledMatrix's lifetime, the same contract as
-/// row-major `&B(kb, jb)` keys. A caller-supplied TileKeyFn receives the
-/// *element* origin (kt*s, jt*s), matching the row-major overloads.
-template <typename T>
-std::uint64_t tiled_b_key(const TiledMatrix<T>& B, std::size_t kt,
-                          std::size_t jt, const TileKeyFn& tile_key) {
-  const std::size_t s = B.tile_dim();
-  return tile_key ? tile_key(kt * s, jt * s)
-                  : static_cast<std::uint64_t>(
-                        reinterpret_cast<std::uintptr_t>(B.tile_data(kt, jt)));
-}
-
-}  // namespace detail
-
-/// Theorem 2 with a tile-major right operand: every B tile handed to the
-/// device is a contiguous s x s block (stride s), not a strided subview
-/// of a row-major matrix — the layout contract real TCU loads want. A and
-/// C stay row-major; B's logical dimensions must be tile-aligned (pack a
-/// padded TiledMatrix, or use the all-tile-major overload, for ragged
-/// shapes). Call structure, charges, and — keyed on the same identities —
-/// residency transitions are identical to the aligned row-major path.
-template <typename T>
-void matmul_tcu_resident_into(Device<T>& dev,
-                              std::type_identity_t<ConstMatrixView<T>> A,
-                              const TiledMatrix<T>& B,
-                              std::type_identity_t<MatrixView<T>> C,
-                              const TileKeyFn& tile_key = {}) {
-  detail::validate_tiled_b(dev, B);
-  const std::size_t s = dev.tile_dim();
-  if (B.rows() % s || B.cols() % s) {
-    throw std::invalid_argument(
-        "matmul tiled: B logical shape must be tile-aligned");
-  }
-  if (A.cols != B.rows() || C.rows != A.rows || C.cols != B.cols()) {
-    throw std::invalid_argument("matmul tiled: shape mismatch");
-  }
-  for (std::size_t jt = 0; jt < B.tile_cols(); ++jt) {
-    for (std::size_t kt = 0; kt < B.tile_rows(); ++kt) {
-      // tcu-lint: anchored-ok(B is caller-owned long-lived storage; callers that repack or recycle it must evict_all, same contract as the row-major resident overload)
-      dev.gemm_resident(detail::tiled_b_key(B, kt, jt, tile_key),
-                        A.subview(0, kt * s, A.rows, s), B.tile_view(kt, jt),
-                        C.subview(0, jt * s, A.rows, s),
-                        /*accumulate=*/kt != 0);
-    }
-  }
-}
-
-/// Fully tile-major product: A's dealt strips (`strip_view`), B's
-/// resident tiles, and C's output strips are all contiguous blocks. Any
-/// logical shapes — the containers' zero padding stands in for the ragged
-/// scratch path, so the device streams padded_rows-tall calls and the
-/// logical region of C carries the product (padding rows stay zero).
-template <typename T>
-void matmul_tcu_resident_into(Device<T>& dev, const TiledMatrix<T>& A,
-                              const TiledMatrix<T>& B, TiledMatrix<T>& C,
-                              const TileKeyFn& tile_key = {}) {
-  detail::validate_tiled_b(dev, B);
-  if (A.tile_dim() != B.tile_dim() || C.tile_dim() != B.tile_dim()) {
-    throw std::invalid_argument("matmul tiled: operand tile_dim mismatch");
-  }
-  if (A.cols() != B.rows() || C.rows() != A.rows() || C.cols() != B.cols()) {
-    throw std::invalid_argument("matmul tiled: shape mismatch");
-  }
-  for (std::size_t jt = 0; jt < B.tile_cols(); ++jt) {
-    for (std::size_t kt = 0; kt < B.tile_rows(); ++kt) {
-      // tcu-lint: anchored-ok(B is caller-owned long-lived storage; callers that repack or recycle it must evict_all, same contract as the row-major resident overload)
-      dev.gemm_resident(detail::tiled_b_key(B, kt, jt, tile_key),
-                        A.strip_view(kt), B.tile_view(kt, jt),
-                        C.strip_view(jt), /*accumulate=*/kt != 0);
-    }
-  }
 }
 
 /// Allocating wrapper for the fully tile-major product.

@@ -21,14 +21,12 @@ template Matrix<std::complex<double>> matmul_naive<std::complex<double>>(
     ConstMatrixView<std::complex<double>>,
     ConstMatrixView<std::complex<double>>, Counters&);
 
-template void matmul_tcu_into<double>(Device<double>&,
-                                      ConstMatrixView<double>,
-                                      ConstMatrixView<double>,
-                                      MatrixView<double>);
+template void matmul_tcu_into<double>(Device<double>&, InOperand<double>,
+                                      InOperand<double>, OutOperand<double>);
 template void matmul_tcu_into<std::int64_t>(Device<std::int64_t>&,
-                                            ConstMatrixView<std::int64_t>,
-                                            ConstMatrixView<std::int64_t>,
-                                            MatrixView<std::int64_t>);
+                                            InOperand<std::int64_t>,
+                                            InOperand<std::int64_t>,
+                                            OutOperand<std::int64_t>);
 
 template Matrix<double> matmul_strassen_tcu<double>(Device<double>&,
                                                     ConstMatrixView<double>,

@@ -16,20 +16,25 @@
 // every unit's `Counters` — is bit-identical to the historical serial
 // execute-then-pick loop regardless of thread interleaving.
 //
-// Two modes extend the PR 1 runtime:
-//   * ragged shapes — the final partial strip/tile is zero-padded into
-//     worker-local scratch exactly like the single-unit matmul_tcu, so
-//     the pool path accepts any dimensions and produces bit-identical
-//     outputs and charge totals;
+// Every pooled dense product runs through one dealer,
+// `matmul_tcu_pool_strips`, over the same Theorem 2 plan and strip body as
+// the serial products (detail::Theorem2 in dense.hpp):
+//   * any layout and shape — each operand may be row-major or a
+//     TiledMatrix; a ragged one is packed once into a zero-padded
+//     TiledMatrix owned by the tasks that read it, so pooled outputs and
+//     charge totals equal the serial product's;
 //   * tile affinity — with `PoolMatmulOptions::affinity`, every B tile
-//     carries its address as a resident-operand key; the dealer routes a
-//     strip to the lane already holding its entry tile and the device
-//     skips the re-load latency (`gemm_resident`), which is what makes
-//     repeated products against the same weights (batches, nn forwards)
-//     cheaper than PR 1's reload-every-call schedule.
+//     carries a resident-operand key; the dealer routes a strip to the
+//     lane already holding its tiles and the device skips the re-load
+//     latency (`gemm_resident`), which is what makes repeated products
+//     against the same weights (batches, nn forwards) cheaper than a
+//     reload-every-call schedule;
+//   * row chunks and tile-split chains for products with fewer strips
+//     than units or chains deeper than the tile cache.
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -54,17 +59,17 @@ struct PoolMatmulOptions {
   bool affinity = false;
 
   /// Split each strip's chain at tile granularity: one task per B tile,
-  /// each computing a partial product that the shared CPU combines after
-  /// the join. This lets a deep B (chain k > 1) both parallelize across
-  /// lanes and fit each lane's share of the tiles in a cache with c < k,
-  /// so repeated products pay each tile's load once per owning lane
-  /// instead of once per strip visit. Opt-in because the partial-sum
-  /// combine reassociates the floating-point accumulation: outputs are
-  /// run- and p-deterministic (and exact for integral T), but may differ
-  /// from the fused chain by rounding. The partials hold k_tiles copies
-  /// of C until the join — size the cache (or keep fused chains) for
-  /// very deep B instead. Requires `affinity`; ignored for single-tile
-  /// chains.
+  /// each computing a partial product, and one CPU continuation per
+  /// strip that sums the strip's partials once its tile tasks retire.
+  /// This lets a deep B (chain k > 1) both parallelize across lanes and
+  /// fit each lane's share of the tiles in a cache with c < k, so
+  /// repeated products pay each tile's load once per owning lane instead
+  /// of once per strip visit. Opt-in because the partial-sum combine
+  /// reassociates the floating-point accumulation: outputs are run- and
+  /// p-deterministic (and exact for integral T), but may differ from the
+  /// fused chain by rounding. The partials hold k_tiles copies of C until
+  /// the combines run — size the cache (or keep fused chains) for very
+  /// deep B instead. Requires `affinity`; ignored for single-tile chains.
   bool split_chains = false;
 
   /// Optional identity override for B's tiles (element origin (kb, jb) ->
@@ -76,34 +81,22 @@ struct PoolMatmulOptions {
   /// equal tile content.
   TileKeyFn tile_key = {};
 
-  /// Split the tall dimension into up to this many tile-aligned row
-  /// chunks per output strip, each (chunk, strip) pair its own task
-  /// declaring the strip's full chain — the schedule conv2d's im2col
-  /// strips use to parallelize products with fewer strips than units
-  /// (the DFT levels run the analogous split, but over raw device calls
-  /// without the Theorem 2 scratch accounting, so they keep their own
-  /// dealer in dft.cpp). Chunk boundaries fall on multiples of sqrt(m)
-  /// and each chunk re-runs the whole chain, so outputs stay
-  /// bit-identical while the latency split changes by exactly l per
-  /// extra call (paid on first touch or saved on a resident hit; the
-  /// counters_match relation of the PR 4 benches). Clamped to the
+  /// Split the tall dimension into up to this many row chunks per output
+  /// strip, each (chunk, strip) pair its own task declaring the strip's
+  /// full chain — the schedule conv2d's im2col strips use to parallelize
+  /// products with fewer strips than units (the DFT levels run the
+  /// analogous split over raw device calls and keep their own dealer in
+  /// dft.cpp). Chunks cover whole tile-rows (the last one also the ragged
+  /// remainder) and each re-runs the whole chain, so outputs stay
+  /// bit-identical while the latency split changes by exactly l per extra
+  /// call (paid on first touch or saved on a resident hit; the
+  /// counters_match relation of the pool benches). Clamped to the
   /// available full tile-rows; 1 is the classic one-task-per-strip
-  /// dealing, and 0 (the default) means "auto" — no split here, the
-  /// unit count in conv2d_tcu_pool — so an explicit 1 stays reachable
-  /// through wrappers that auto-split. Aligned shapes only — ignored
-  /// for ragged inputs and in split_chains mode.
+  /// dealing, and 0 (the default) means "auto" — no split here, the unit
+  /// count in conv2d_tcu_pool — so an explicit 1 stays reachable through
+  /// wrappers that auto-split. Ignored in split_chains mode.
   std::size_t row_chunks = 0;
 };
-
-/// True iff A * B can run on the pool fast path without padding. The pool
-/// matmul itself now accepts ragged shapes; this remains for callers that
-/// want to know whether scratch padding will be involved.
-template <typename T>
-bool pool_shapes_aligned(const DevicePool<T>& pool, ConstMatrixView<T> A,
-                         ConstMatrixView<T> B) {
-  const std::size_t s = pool.unit(0).tile_dim();
-  return (A.rows % s) == 0 && (A.cols % s) == 0 && (B.cols % s) == 0;
-}
 
 namespace detail {
 
@@ -123,346 +116,143 @@ std::uint64_t strip_tile_cost(const Device<T>& unit, std::uint64_t rows,
   return calls * unit.m() + unit.latency();
 }
 
-/// One ragged output strip on a pool worker: task-local scratch around
-/// the shared per-strip body of the single-unit ragged path
-/// (detail::ragged_strip_into), so outputs and counter totals stay
-/// bit-identical to serial by construction. `keys` holds the strip's
-/// B-tile identities indexed by tile (kb / s); empty = untagged dealing.
+/// split_chains: one task per (B tile, output strip) pair, submitted
+/// tile-major and each declaring its single-tile chain, so the dealer
+/// routes every visit to the lane whose cache holds (or will hold) that
+/// tile. Each task writes its own partial product; one CPU continuation
+/// per strip, gated on that strip's tile tickets, sums the partials in
+/// ascending tile order into C — a deterministic, p-independent summation
+/// (bit-identical to the same mode on one unit; exact for integral T).
 template <typename T>
-void ragged_strip(Device<T>& unit, ConstMatrixView<T> A, ConstMatrixView<T> B,
-                  MatrixView<T> C, std::size_t jb,
-                  const std::vector<std::uint64_t>& keys) {
-  const std::size_t s = unit.tile_dim();
-  Matrix<T> b_tile(s, s, T{});
-  Matrix<T> a_strip(A.rows, s, T{});
-  Matrix<T> c_strip(A.rows, s, T{});
-  ragged_strip_into(
-      unit, A, B, C, jb, b_tile, a_strip, c_strip,
-      [&unit, &keys, s](std::size_t kb, ConstMatrixView<T> a,
-                        ConstMatrixView<T> b, MatrixView<T> c,
-                        bool accumulate) {
-        if (!keys.empty()) {
-          unit.gemm_resident(keys[kb / s], a, b, c, accumulate);
-        } else {
-          // tcu-lint: untagged-ok(untagged dealing mode; task came via plain submit)
-          unit.gemm(a, b, c, accumulate);
-        }
-      });
-}
-
-/// Tile-granular schedule for deep chains (split_chains): one task per
-/// (B tile, output strip) pair, submitted tile-major and each declaring
-/// its single-tile chain, so the dealer routes every visit to the lane
-/// whose cache holds (or will hold) that tile. Each task writes its own
-/// padded partial product; the shared CPU combines partials in ascending
-/// tile order after the join — a deterministic, p-independent summation
-/// (bit-identical to running the same mode on one unit; exact for
-/// integral T).
-template <typename T>
-void matmul_pool_tile_split(PoolExecutor<T>& exec, ConstMatrixView<T> A,
-                            ConstMatrixView<T> B, MatrixView<T> C,
-                            const TileKeyFn& tile_key) {
-  DevicePool<T>& pool = exec.pool();
-  const Device<T>& unit0 = pool.unit(0);
-  const std::size_t s = unit0.tile_dim();
-  const std::size_t p = A.rows, q = A.cols, r = B.cols;
-  const std::size_t k_tiles = (q + s - 1) / s;
-  const std::size_t strips = (r + s - 1) / s;
-  const std::uint64_t tile_cost = strip_tile_cost(unit0, p, /*affinity=*/true);
-
-  // All partials are allocated up front so the tasks' captured pointers
-  // stay stable; entry (kb/s)*strips + (jb/s) holds tile (kb, jb)'s
-  // padded p x s contribution to strip jb.
-  std::vector<Matrix<T>> partials;
-  partials.reserve(k_tiles * strips);
-  for (std::size_t i = 0; i < k_tiles * strips; ++i) {
-    partials.emplace_back(p, s, T{});
-  }
-
-  std::size_t ti = 0;
-  for (std::size_t kb = 0; kb < q; kb += s) {
-    for (std::size_t jb = 0; jb < r; jb += s, ++ti) {
-      Matrix<T>* out = &partials[ti];
-      const std::uint64_t key =
-          tile_key ? tile_key(kb, jb)
-                   : reinterpret_cast<std::uintptr_t>(&B(kb, jb));
-      auto task = [A, B, out, kb, jb, s, key](Device<T>& unit) {
-        const std::size_t kw = std::min(s, A.cols - kb);
-        const std::size_t jw = std::min(s, B.cols - jb);
-        if (kw == s && jw == s) {
-          unit.gemm_resident(key, A.subview(0, kb, A.rows, s),
-                             B.subview(kb, jb, s, s), out->view(),
-                             /*accumulate=*/false);
-          return;
-        }
-        // Ragged edge tile: zero-pad operands into task-local scratch,
-        // charged exactly like the fused ragged path's per-tile work.
-        Matrix<T> b_tile(s, s, T{});
-        for (std::size_t i = 0; i < kw; ++i) {
-          for (std::size_t j = 0; j < jw; ++j) b_tile(i, j) = B(kb + i, jb + j);
-        }
-        Matrix<T> a_strip(A.rows, s, T{});
-        for (std::size_t i = 0; i < A.rows; ++i) {
-          for (std::size_t k = 0; k < kw; ++k) a_strip(i, k) = A(i, kb + k);
-        }
-        unit.charge_cpu(kw * jw + A.rows * kw);
-        unit.gemm_resident(key, a_strip.view().as_const(),
-                           b_tile.view().as_const(), out->view(),
-                           /*accumulate=*/false);
-      };
-      exec.submit_affine(tile_cost, {key}, std::move(task));
+void deal_split(PoolExecutor<T>& exec,
+                const std::shared_ptr<const Theorem2<T>>& plan,
+                const TaskDeps& packed, std::vector<TaskDeps>& done) {
+  const Theorem2<T>& pr = *plan;
+  const std::uint64_t tile_cost =
+      strip_tile_cost(exec.pool().unit(0), pr.rows, /*affinity=*/true);
+  auto partials = std::make_shared<std::vector<Matrix<T>>>(
+      pr.k_tiles * pr.strips, Matrix<T>(pr.rows, pr.s, T{}));
+  for (std::size_t kt = 0; kt < pr.k_tiles; ++kt) {
+    for (std::size_t jt = 0; jt < pr.strips; ++jt) {
+      Matrix<T>* part = &(*partials)[kt * pr.strips + jt];
+      done[jt].after.push_back(
+          exec.submit_affine(tile_cost, {pr.chains[jt][kt]}, packed,
+                             [plan, partials, part, kt, jt](Device<T>& unit) {
+                               plan->chain(unit, part->view(), jt, 0, kt,
+                                           kt + 1);
+                             })
+              .serial);
     }
   }
-  exec.join();
-
-  // Shared-CPU combine, ascending tile order per strip: the summation
-  // order depends only on the tiling, never on the dealing.
-  for (std::size_t jb = 0; jb < r; jb += s) {
-    const std::size_t jw = std::min(s, r - jb);
-    for (std::size_t kb = 0; kb < q; kb += s) {
-      const Matrix<T>& part = partials[(kb / s) * strips + (jb / s)];
-      for (std::size_t i = 0; i < p; ++i) {
-        for (std::size_t j = 0; j < jw; ++j) {
-          if (kb == 0) {
-            C(i, jb + j) = part(i, j);
-          } else {
-            C(i, jb + j) += part(i, j);
+  for (std::size_t jt = 0; jt < pr.strips; ++jt) {
+    const std::size_t w = pr.width(jt);
+    const std::uint64_t cost =
+        static_cast<std::uint64_t>(pr.k_tiles) * pr.rows * w;
+    const TaskTicket combine = exec.submit_cpu(
+        cost, std::move(done[jt]),
+        [plan, partials, jt, w, cost](Device<T>& unit) {
+          const Theorem2<T>& pr = *plan;
+          const MatrixView<T> out = pr.c.block(0, pr.rows, jt, pr.s, w);
+          for (std::size_t kt = 0; kt < pr.k_tiles; ++kt) {
+            const Matrix<T>& part = (*partials)[kt * pr.strips + jt];
+            for (std::size_t i = 0; i < pr.rows; ++i) {
+              for (std::size_t j = 0; j < w; ++j) {
+                out(i, j) = kt == 0 ? part(i, j) : out(i, j) + part(i, j);
+              }
+            }
           }
-        }
-      }
-      pool.charge_cpu(p * jw);
-    }
+          unit.charge_cpu(cost);
+        });
+    done[jt] = TaskDeps{{combine.serial}};
   }
-}
-
-/// The body of one output-strip task — shared verbatim by the joining
-/// dealer (matmul_tcu_pool_into) and the ticket-returning epoch variant
-/// (matmul_tcu_pool_strips), so both schedules run bit-identical strip
-/// work. `keys` empty = untagged; `r0`/`nr` select the row chunk (the
-/// full height for unchunked strips).
-template <typename T>
-auto strip_task(ConstMatrixView<T> A, ConstMatrixView<T> B, MatrixView<T> C,
-                std::size_t jb, std::size_t s, bool ragged, std::size_t r0,
-                std::size_t nr, std::vector<std::uint64_t> keys) {
-  return [A, B, C, jb, s, ragged, r0, nr,
-          keys = std::move(keys)](Device<T>& unit) {
-    if (ragged) {
-      detail::ragged_strip(unit, A, B, C, jb, keys);
-      return;
-    }
-    for (std::size_t kb = 0; kb < A.cols; kb += s) {
-      if (!keys.empty()) {
-        unit.gemm_resident(keys[kb / s], A.subview(r0, kb, nr, s),
-                           B.subview(kb, jb, s, s), C.subview(r0, jb, nr, s),
-                           /*accumulate=*/kb != 0);
-      } else {
-        // tcu-lint: untagged-ok(untagged dealing mode; task came via plain submit)
-        unit.gemm(A.subview(r0, kb, nr, s), B.subview(kb, jb, s, s),
-                  C.subview(r0, jb, nr, s), /*accumulate=*/kb != 0);
-      }
-    }
-  };
-}
-
-/// The per-strip B-tile chains of an affinity product, built once on the
-/// scheduling path (empty when `affinity` is off).
-template <typename T>
-std::vector<std::vector<std::uint64_t>> strip_chains(
-    ConstMatrixView<T> B, std::size_t s, bool affinity,
-    const TileKeyFn& tile_key) {
-  const std::size_t q = B.rows, r = B.cols;
-  std::vector<std::vector<std::uint64_t>> chains((r + s - 1) / s);
-  if (!affinity) return chains;
-  for (std::size_t jb = 0; jb < r; jb += s) {
-    std::vector<std::uint64_t>& chain = chains[jb / s];
-    chain.reserve((q + s - 1) / s);
-    for (std::size_t kb = 0; kb < q; kb += s) {
-      chain.push_back(tile_key
-                          ? tile_key(kb, jb)
-                          : reinterpret_cast<std::uintptr_t>(&B(kb, jb)));
-    }
-  }
-  return chains;
-}
-
-/// Per-strip B-tile chains of a tile-major right operand (empty chains
-/// when `affinity` is off), keyed by detail::tiled_b_key.
-template <typename T>
-std::vector<std::vector<std::uint64_t>> tiled_strip_chains(
-    const TiledMatrix<T>& B, bool affinity, const TileKeyFn& tile_key) {
-  std::vector<std::vector<std::uint64_t>> chains(B.tile_cols());
-  if (!affinity) return chains;
-  for (std::size_t jt = 0; jt < B.tile_cols(); ++jt) {
-    std::vector<std::uint64_t>& chain = chains[jt];
-    chain.reserve(B.tile_rows());
-    for (std::size_t kt = 0; kt < B.tile_rows(); ++kt) {
-      chain.push_back(tiled_b_key(B, kt, jt, tile_key));
-    }
-  }
-  return chains;
-}
-
-/// One output-strip task over a tile-major B (row-major A/C): every right
-/// operand the worker hands the device is a contiguous tile. Shared by
-/// the joining and the ticket-returning dealers below.
-template <typename T>
-auto tiled_strip_task(ConstMatrixView<T> A, const TiledMatrix<T>* B,
-                      MatrixView<T> C, std::size_t jt,
-                      std::vector<std::uint64_t> keys) {
-  return [A, B, C, jt, keys = std::move(keys)](Device<T>& unit) {
-    const std::size_t s = B->tile_dim();
-    for (std::size_t kt = 0; kt < B->tile_rows(); ++kt) {
-      ConstMatrixView<T> a = A.subview(0, kt * s, A.rows, s);
-      MatrixView<T> c = C.subview(0, jt * s, A.rows, s);
-      if (!keys.empty()) {
-        unit.gemm_resident(keys[kt], a, B->tile_view(kt, jt), c,
-                           /*accumulate=*/kt != 0);
-      } else {
-        // tcu-lint: untagged-ok(untagged dealing mode; task came via plain submit)
-        unit.gemm(a, B->tile_view(kt, jt), c, /*accumulate=*/kt != 0);
-      }
-    }
-  };
-}
-
-/// Fully tile-major strip task: the dealt A strip, the resident B tile,
-/// and the written C strip are all contiguous blocks.
-template <typename T>
-auto tiled_strip_task(const TiledMatrix<T>* A, const TiledMatrix<T>* B,
-                      TiledMatrix<T>* C, std::size_t jt,
-                      std::vector<std::uint64_t> keys) {
-  return [A, B, C, jt, keys = std::move(keys)](Device<T>& unit) {
-    for (std::size_t kt = 0; kt < B->tile_rows(); ++kt) {
-      if (!keys.empty()) {
-        unit.gemm_resident(keys[kt], A->strip_view(kt), B->tile_view(kt, jt),
-                           C->strip_view(jt), /*accumulate=*/kt != 0);
-      } else {
-        // tcu-lint: untagged-ok(untagged dealing mode; task came via plain submit)
-        unit.gemm(A->strip_view(kt), B->tile_view(kt, jt), C->strip_view(jt),
-                  /*accumulate=*/kt != 0);
-      }
-    }
-  };
 }
 
 }  // namespace detail
 
-/// C = A * B dealt across the executor's units, one task per output column
-/// strip; any shapes (the final partial strip is padded in worker-local
-/// scratch). The caller-owned executor is reused — submit and join only,
-/// no thread churn — and the barrier at the end leaves the executor ready
-/// for the next round. With affinity every strip declares its B-tile
-/// chain; with `split_chains` deep chains are additionally split into
-/// per-tile tasks with a CPU combine (see PoolMatmulOptions).
+/// C = A * B dealt across the executor's units without joining: the one
+/// pooled dense product. Each of A, B, C may be a row-major view or a
+/// TiledMatrix, any shapes (ragged operands are padded once, see
+/// detail::Theorem2). One task per (row chunk, output strip) runs the
+/// strip body; `opts` selects untagged or affinity dealing, row chunks,
+/// tile-split chains and tile keys. Placement depends only on shapes,
+/// costs and chains, never on timing.
+///
+/// Padded inputs are packed by one task that every product task depends
+/// on, so A and B may themselves be outputs of tasks still in flight
+/// (fence-ordered by join_epoch). Its pack_cost is charged to the shared
+/// CPU, as a serial product charges it to its device, and the task
+/// declares no cost, so the products are dealt exactly as their own
+/// costs place them. Packed temporaries are owned by the tasks.
+///
+/// Returns, per output strip jt, the tickets after which C's columns
+/// [jt*s, jt*s+s) are final — a per-strip epilogue can depend on them
+/// instead of a barrier. The caller owes the executor a join() (or a
+/// join_epoch() fence) before the submit thread reads C, and keeps its
+/// own A, B and C alive until then.
 template <typename T>
-void matmul_tcu_pool_into(PoolExecutor<T>& exec,
-                          std::type_identity_t<ConstMatrixView<T>> A,
-                          std::type_identity_t<ConstMatrixView<T>> B,
-                          std::type_identity_t<MatrixView<T>> C,
-                          PoolMatmulOptions opts = {}) {
-  if (A.cols != B.rows) {
-    throw std::invalid_argument("matmul_tcu_pool: inner dimensions differ");
-  }
-  if (C.rows != A.rows || C.cols != B.cols) {
-    throw std::invalid_argument("matmul_tcu_pool: output shape mismatch");
-  }
+std::vector<TaskDeps> matmul_tcu_pool_strips(
+    PoolExecutor<T>& exec, std::type_identity_t<InOperand<T>> A,
+    std::type_identity_t<InOperand<T>> B,
+    std::type_identity_t<OutOperand<T>> C, PoolMatmulOptions opts = {}) {
   DevicePool<T>& pool = exec.pool();
   const Device<T>& unit0 = pool.unit(0);
   const std::size_t s = unit0.tile_dim();
-  const std::size_t p = A.rows, q = A.cols, r = B.cols;
-  const bool ragged = (p % s) || (q % s) || (r % s);
-  const std::uint64_t tile_cost =
-      detail::strip_tile_cost(unit0, p, opts.affinity);
-  const std::uint64_t k_tiles = (q + s - 1) / s;
-  const std::uint64_t strip_cost = k_tiles * tile_cost;
-
-  if (opts.affinity && opts.split_chains && k_tiles > 1) {
-    detail::matmul_pool_tile_split(exec, A, B, C, opts.tile_key);
-    return;
+  const bool split = opts.affinity && opts.split_chains && A.cols() > s;
+  auto plan = std::make_shared<const detail::Theorem2<T>>(
+      s, A, B, C, opts.affinity, opts.tile_key, /*pad_c=*/!split);
+  const detail::Theorem2<T>& pr = *plan;
+  TaskDeps packed;
+  if (pr.pack_ops != 0) {
+    pool.charge_cpu(pr.pack_ops);
+    packed.after.push_back(
+        exec.submit_cpu(0, TaskDeps{},
+                        [plan](Device<T>&) { plan->pack_inputs(); })
+            .serial);
+  }
+  std::vector<TaskDeps> done(pr.strips);
+  if (split) {
+    detail::deal_split(exec, plan, packed, done);
+    return done;
   }
 
-  // Tall-dimension split (row_chunks > 1, aligned shapes): each chunk
-  // re-runs every strip's chain over its own row block.
-  const std::size_t row_tiles = p / s;
-  const std::size_t chunks =
-      ragged ? 1
-             : std::max<std::size_t>(
-                   1, std::min(std::max<std::size_t>(opts.row_chunks, 1),
-                               row_tiles));
-
-  // Each strip's full tile chain — one key per B tile, in call order —
-  // is invariant across chunks, so build it once per strip up front (the
-  // submit loop is the serialized scheduling path).
-  const std::vector<std::vector<std::uint64_t>> chains =
-      detail::strip_chains(B, s, opts.affinity, opts.tile_key);
-
+  // Tall-dimension split: chunk c covers whole tile-rows (the last one
+  // also the ragged remainder) and re-runs every strip's chain over them.
+  const std::size_t row_tiles = pr.rows / s;
+  const std::size_t chunks = std::max<std::size_t>(
+      1, std::min(std::max<std::size_t>(opts.row_chunks, 1), row_tiles));
   std::size_t r0 = 0;
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t nr =
-        chunks == 1 ? p : (row_tiles / chunks + (c < row_tiles % chunks)) * s;
-    const std::uint64_t chunk_cost =
-        chunks == 1 ? strip_cost
-                    : k_tiles * detail::strip_tile_cost(unit0, nr,
-                                                        opts.affinity);
-    for (std::size_t jb = 0; jb < r; jb += s) {
-      const std::vector<std::uint64_t>& chain = chains[jb / s];
-      auto task = detail::strip_task(A, B, C, jb, s, ragged, r0, nr, chain);
-      if (opts.affinity) {
-        exec.submit_affine(chunk_cost, chain, std::move(task));
-      } else {
-        exec.submit(chunk_cost, std::move(task));
-      }
+        chunks == 1 ? pr.rows
+                    : (row_tiles / chunks + (c < row_tiles % chunks)) * s +
+                          (c + 1 == chunks ? pr.rows % s : 0);
+    const std::uint64_t cost =
+        pr.k_tiles * detail::strip_tile_cost(unit0, nr, opts.affinity);
+    for (std::size_t jt = 0; jt < pr.strips; ++jt) {
+      auto task = [plan, jt, r0, nr](Device<T>& unit) {
+        plan->strip(unit, jt, r0, nr);
+      };
+      done[jt].after.push_back(
+          (opts.affinity ? exec.submit_affine(cost, pr.chains[jt], packed,
+                                              std::move(task))
+                         : exec.submit(cost, packed, std::move(task)))
+              .serial);
     }
     r0 += nr;
   }
-  exec.join();
+  return done;
 }
 
-/// Ticket-returning no-join product for epoch-mode pipelines: submits one
-/// task per output column strip (no row chunking or tile splitting) and
-/// returns the strips' TaskTickets, in strip order, WITHOUT joining.
-/// Strip jb's ticket retires exactly when C's columns [jb*s, jb*s+s) are
-/// final, so downstream work — a per-strip epilogue — can depend on
-/// single strips (TaskDeps) instead of a full barrier, overlapping with
-/// the remaining strips' products. Strip bodies, submission order, and
-/// projected costs are identical to matmul_tcu_pool_into's unchunked
-/// schedule, so counters stay bit-compatible. The caller owes the
-/// executor a join() (or a fence via join_epoch) before the submit
-/// thread reads C, and must keep A, B, and C alive until then.
+/// `matmul_tcu_pool_strips` followed by the executor's join(): C is final
+/// on return, and the executor is ready for the next round.
 template <typename T>
-std::vector<TaskTicket> matmul_tcu_pool_strips(
-    PoolExecutor<T>& exec, std::type_identity_t<ConstMatrixView<T>> A,
-    std::type_identity_t<ConstMatrixView<T>> B,
-    std::type_identity_t<MatrixView<T>> C, PoolMatmulOptions opts = {}) {
-  if (A.cols != B.rows) {
-    throw std::invalid_argument("matmul_tcu_pool: inner dimensions differ");
-  }
-  if (C.rows != A.rows || C.cols != B.cols) {
-    throw std::invalid_argument("matmul_tcu_pool: output shape mismatch");
-  }
-  const Device<T>& unit0 = exec.pool().unit(0);
-  const std::size_t s = unit0.tile_dim();
-  const std::size_t p = A.rows, q = A.cols, r = B.cols;
-  const bool ragged = (p % s) || (q % s) || (r % s);
-  const std::uint64_t strip_cost =
-      ((q + s - 1) / s) * detail::strip_tile_cost(unit0, p, opts.affinity);
-  const std::vector<std::vector<std::uint64_t>> chains =
-      detail::strip_chains(B, s, opts.affinity, opts.tile_key);
-
-  std::vector<TaskTicket> tickets;
-  tickets.reserve(chains.size());
-  for (std::size_t jb = 0; jb < r; jb += s) {
-    const std::vector<std::uint64_t>& chain = chains[jb / s];
-    auto task = detail::strip_task(A, B, C, jb, s, ragged, /*r0=*/0,
-                                   /*nr=*/p, chain);
-    if (opts.affinity) {
-      tickets.push_back(
-          exec.submit_affine(strip_cost, chain, TaskDeps{}, std::move(task)));
-    } else {
-      tickets.push_back(exec.submit(strip_cost, TaskDeps{}, std::move(task)));
-    }
-  }
-  return tickets;
+void matmul_tcu_pool_into(PoolExecutor<T>& exec,
+                          std::type_identity_t<InOperand<T>> A,
+                          std::type_identity_t<InOperand<T>> B,
+                          std::type_identity_t<OutOperand<T>> C,
+                          PoolMatmulOptions opts = {}) {
+  (void)matmul_tcu_pool_strips(exec, A, B, C, std::move(opts));
+  exec.join();
 }
 
 /// Allocating wrapper over the persistent-executor path.
@@ -472,137 +262,8 @@ Matrix<T> matmul_tcu_pool(PoolExecutor<T>& exec,
                           std::type_identity_t<ConstMatrixView<T>> B,
                           PoolMatmulOptions opts = {}) {
   Matrix<T> C(A.rows, B.cols, T{});
-  matmul_tcu_pool_into(exec, A, B, C.view(), opts);
+  matmul_tcu_pool_into(exec, A, B, C.view(), std::move(opts));
   return C;
-}
-
-// ------------------------------------------------------------- tile-major
-// The tile-major dealers: same greedy projected-cost scheduling as the
-// row-major paths, but every right operand reaching a worker's device is
-// a contiguous tile (and, in the all-tile-major overload, the dealt A
-// strips and written C strips are contiguous too). One task per output
-// strip — row_chunks and split_chains do not apply here; callers needing
-// those schedules keep the row-major dealer.
-
-namespace detail {
-
-/// Shared validation + submit loop for the tile-major dealers. `make_task`
-/// builds the strip-jt task; returns the tickets without joining.
-template <typename T, typename MakeTask>
-std::vector<TaskTicket> deal_tiled_strips(PoolExecutor<T>& exec,
-                                          const TiledMatrix<T>& B,
-                                          std::uint64_t left_rows,
-                                          const PoolMatmulOptions& opts,
-                                          MakeTask&& make_task) {
-  const Device<T>& unit0 = exec.pool().unit(0);
-  if (B.tile_dim() != unit0.tile_dim()) {
-    throw std::invalid_argument(
-        "matmul_tcu_pool tiled: B tile_dim must equal the units' sqrt(m)");
-  }
-  const std::uint64_t strip_cost =
-      B.tile_rows() * strip_tile_cost(unit0, left_rows, opts.affinity);
-  const std::vector<std::vector<std::uint64_t>> chains =
-      tiled_strip_chains(B, opts.affinity, opts.tile_key);
-  std::vector<TaskTicket> tickets;
-  tickets.reserve(B.tile_cols());
-  for (std::size_t jt = 0; jt < B.tile_cols(); ++jt) {
-    auto task = make_task(jt, chains[jt]);
-    if (opts.affinity) {
-      tickets.push_back(exec.submit_affine(strip_cost, chains[jt], TaskDeps{},
-                                           std::move(task)));
-    } else {
-      tickets.push_back(exec.submit(strip_cost, TaskDeps{}, std::move(task)));
-    }
-  }
-  return tickets;
-}
-
-}  // namespace detail
-
-/// C = A * B with a tile-major B dealt across the executor's units; A and
-/// C stay row-major. B's logical shape must be tile-aligned (its padding
-/// is storage-internal); keys default to tile addresses, and a TileKeyFn
-/// (element origins) can pin them to other storage — DenseLayer keys its
-/// packed tiles by the original weights so every path shares one
-/// identity. Joins before returning.
-template <typename T>
-void matmul_tcu_pool_into(PoolExecutor<T>& exec,
-                          std::type_identity_t<ConstMatrixView<T>> A,
-                          const TiledMatrix<T>& B,
-                          std::type_identity_t<MatrixView<T>> C,
-                          PoolMatmulOptions opts = {}) {
-  const std::size_t s = B.tile_dim();
-  if (B.rows() % s || B.cols() % s) {
-    throw std::invalid_argument(
-        "matmul_tcu_pool tiled: B logical shape must be tile-aligned");
-  }
-  if (A.cols != B.rows() || C.rows != A.rows || C.cols != B.cols()) {
-    throw std::invalid_argument("matmul_tcu_pool tiled: shape mismatch");
-  }
-  const TiledMatrix<T>* b = &B;
-  detail::deal_tiled_strips(
-      exec, B, A.rows, opts,
-      [&](std::size_t jt, const std::vector<std::uint64_t>& chain) {
-        return detail::tiled_strip_task(
-            A, b, C, jt,
-            opts.affinity ? chain : std::vector<std::uint64_t>{});
-      });
-  exec.join();
-}
-
-/// Ticket-returning no-join variant (epoch pipelines): strip jt's ticket
-/// retires exactly when C's columns [jt*s, jt*s+s) are final. The caller
-/// owes a join()/join_epoch() before reading C and keeps A, B, C alive
-/// until then.
-template <typename T>
-std::vector<TaskTicket> matmul_tcu_pool_strips(
-    PoolExecutor<T>& exec, std::type_identity_t<ConstMatrixView<T>> A,
-    const TiledMatrix<T>& B, std::type_identity_t<MatrixView<T>> C,
-    PoolMatmulOptions opts = {}) {
-  const std::size_t s = B.tile_dim();
-  if (B.rows() % s || B.cols() % s) {
-    throw std::invalid_argument(
-        "matmul_tcu_pool tiled: B logical shape must be tile-aligned");
-  }
-  if (A.cols != B.rows() || C.rows != A.rows || C.cols != B.cols()) {
-    throw std::invalid_argument("matmul_tcu_pool tiled: shape mismatch");
-  }
-  const TiledMatrix<T>* b = &B;
-  return detail::deal_tiled_strips(
-      exec, B, A.rows, opts,
-      [&](std::size_t jt, const std::vector<std::uint64_t>& chain) {
-        return detail::tiled_strip_task(
-            A, b, C, jt,
-            opts.affinity ? chain : std::vector<std::uint64_t>{});
-      });
-}
-
-/// Fully tile-major pooled product: dealt A strips, resident B tiles, and
-/// written C strips are all contiguous. Any logical shapes — the padding
-/// lives in the containers, so no ragged scratch path runs on workers.
-/// Joins before returning.
-template <typename T>
-void matmul_tcu_pool_into(PoolExecutor<T>& exec, const TiledMatrix<T>& A,
-                          const TiledMatrix<T>& B, TiledMatrix<T>& C,
-                          PoolMatmulOptions opts = {}) {
-  if (A.tile_dim() != B.tile_dim() || C.tile_dim() != B.tile_dim()) {
-    throw std::invalid_argument(
-        "matmul_tcu_pool tiled: operand tile_dim mismatch");
-  }
-  if (A.cols() != B.rows() || C.rows() != A.rows() || C.cols() != B.cols()) {
-    throw std::invalid_argument("matmul_tcu_pool tiled: shape mismatch");
-  }
-  const TiledMatrix<T>* a = &A;
-  const TiledMatrix<T>* b = &B;
-  TiledMatrix<T>* c = &C;
-  detail::deal_tiled_strips(
-      exec, B, A.padded_rows(), opts,
-      [&](std::size_t jt, const std::vector<std::uint64_t>& chain) {
-        return detail::tiled_strip_task(
-            a, b, c, jt,
-            opts.affinity ? chain : std::vector<std::uint64_t>{});
-      });
-  exec.join();
 }
 
 }  // namespace tcu::linalg

@@ -51,29 +51,27 @@ linalg::TileKeyFn DenseLayer::weights_key() const {
   };
 }
 
+linalg::PoolMatmulOptions DenseLayer::keyed(
+    linalg::PoolMatmulOptions opts) const {
+  if (!opts.tile_key) opts.tile_key = weights_key();
+  return opts;
+}
+
 Matrix<double> DenseLayer::forward(Device<double>& dev,
                                    ConstMatrixView<double> activations,
                                    bool relu) const {
   if (activations.cols != weights_.rows()) {
     throw std::invalid_argument("DenseLayer: activation width mismatch");
   }
-  // The weights are the layer's long-lived resident operand, so their
-  // tiles carry identity keys (row-major storage addresses on every
-  // path): repeated forwards on a device whose cache covers the weight
-  // tiles skip the re-load latency, the same contract the executor path
-  // realizes per lane. Aligned shapes stream the cached tile-major
-  // weights — each resident tile is a contiguous block — with call
-  // structure and charges identical to the row-major fast path; ragged
-  // shapes keep the scratch path's accounting.
+  // The weights are the layer's long-lived resident operand: the cached
+  // tile-major copy streams contiguous tiles, keyed by the row-major
+  // weights' addresses, so repeated forwards on a device whose cache
+  // covers the weight tiles skip the re-load latency — the same contract
+  // the executor path realizes per lane.
   Matrix<double> out(activations.rows, weights_.cols(), 0.0);
-  if (tile_aligned(dev.tile_dim(), activations.rows)) {
-    linalg::matmul_tcu_resident_into(dev, activations,
-                                     tiled_weights(dev.tile_dim()),
-                                     out.view(), weights_key());
-  } else {
-    linalg::matmul_tcu_resident_into(dev, activations, weights_.view(),
-                                     out.view(), weights_key());
-  }
+  linalg::matmul_tcu_resident_into(dev, activations,
+                                   tiled_weights(dev.tile_dim()), out.view(),
+                                   weights_key());
   apply_epilogue(out, bias_, relu);
   dev.charge_cpu(out.rows() * out.cols() * (relu ? 2 : 1));
   return out;
@@ -87,21 +85,10 @@ Matrix<double> DenseLayer::forward(PoolExecutor<double>& exec,
   if (activations.cols != weights_.rows()) {
     throw std::invalid_argument("DenseLayer: activation width mismatch");
   }
-  const std::size_t s = exec.pool().unit(0).tile_dim();
   Matrix<double> out(activations.rows, weights_.cols(), 0.0);
-  // Aligned plain-strip deals stream the cached tile-major weights
-  // (contiguous resident tiles) under the same keys and charges; the
-  // chunked/split/ragged schedules keep the row-major dealer.
-  if (tile_aligned(s, activations.rows) && !opts.split_chains &&
-      opts.row_chunks <= 1) {
-    linalg::PoolMatmulOptions tiled_opts = opts;
-    if (!tiled_opts.tile_key) tiled_opts.tile_key = weights_key();
-    linalg::matmul_tcu_pool_into(exec, activations, tiled_weights(s),
-                                 out.view(), tiled_opts);
-  } else {
-    linalg::matmul_tcu_pool_into(exec, activations, weights_.view(),
-                                 out.view(), opts);
-  }
+  linalg::matmul_tcu_pool_into(
+      exec, activations, tiled_weights(exec.pool().unit(0).tile_dim()),
+      out.view(), keyed(opts));
   apply_epilogue(out, bias_, relu);
   exec.pool().charge_cpu(out.rows() * out.cols() * (relu ? 2 : 1));
   return out;
@@ -117,23 +104,14 @@ void DenseLayer::forward_epoch(PoolExecutor<double>& exec,
   if (out.rows != activations.rows || out.cols != weights_.cols()) {
     throw std::invalid_argument("DenseLayer: output shape mismatch");
   }
-  const std::size_t tile = exec.pool().unit(0).tile_dim();
-  std::vector<TaskTicket> tickets;
-  if (tile_aligned(tile, activations.rows) && !opts.split_chains) {
-    linalg::PoolMatmulOptions tiled_opts = opts;
-    if (!tiled_opts.tile_key) tiled_opts.tile_key = weights_key();
-    tickets = linalg::matmul_tcu_pool_strips(
-        exec, activations, tiled_weights(tile), out, tiled_opts);
-  } else {
-    tickets = linalg::matmul_tcu_pool_strips(exec, activations,
-                                             weights_.view(), out, opts);
-  }
+  const std::size_t s = exec.pool().unit(0).tile_dim();
+  std::vector<TaskDeps> strips = linalg::matmul_tcu_pool_strips(
+      exec, activations, tiled_weights(s), out, keyed(opts));
 
   // One epilogue task per output strip, gated on exactly that strip's
   // product: columns [jb, jb+jw) of `out` are final once the ticket
   // retires, and no other strip touches them. The per-strip CPU charges
   // sum to forward()'s shared-CPU epilogue charge.
-  const std::size_t s = exec.pool().unit(0).tile_dim();
   const std::size_t rows = out.rows;
   const std::size_t cols = out.cols;
   for (std::size_t jb = 0; jb < cols; jb += s) {
@@ -141,7 +119,7 @@ void DenseLayer::forward_epoch(PoolExecutor<double>& exec,
     const std::uint64_t cost =
         static_cast<std::uint64_t>(rows) * jw * (relu ? 2 : 1);
     exec.submit_cpu(
-        cost, TaskDeps{{tickets[jb / s].serial}},
+        cost, std::move(strips[jb / s]),
         [out, this, relu, jb, jw, rows, cost](Device<double>& unit) {
           for (std::size_t i = 0; i < rows; ++i) {
             for (std::size_t j = jb; j < jb + jw; ++j) {

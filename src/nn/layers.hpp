@@ -41,8 +41,9 @@ class DenseLayer {
 
   /// Multi-unit forward over a caller-owned persistent executor: output
   /// strips of the weight product run across the pool's worker threads
-  /// for any shape (ragged layers are padded in worker-local scratch), a
-  /// strict join closes the product, and the epilogue is shared CPU work.
+  /// for any shape (a ragged activation or output is packed once into a
+  /// zero-padded TiledMatrix), a strict join closes the product, and the
+  /// epilogue is shared CPU work.
   /// No thread churn, and every weight strip declares its full B-tile chain,
   /// so repeated forwards of the same layer skip the weight re-load
   /// latency on every tile still resident from the previous batch (a
@@ -56,10 +57,11 @@ class DenseLayer {
                          const linalg::PoolMatmulOptions& opts = {
                              .affinity = true}) const;
 
-  /// Epoch-mode forward: submits the weight product one task per output
-  /// strip plus a per-strip bias/ReLU epilogue that depends only on its
-  /// own strip's ticket — the epilogue of a finished strip overlaps the
-  /// remaining strips' products — then opens a new epoch (join_epoch) so
+  /// Epoch-mode forward: submits the weight product through the one
+  /// pooled dealer (`opts` as in forward: row chunks and split chains
+  /// included) plus a per-strip bias/ReLU epilogue that depends only on
+  /// its own strip's tickets — the epilogue of a finished strip overlaps
+  /// the remaining strips' products — then opens a new epoch (join_epoch) so
   /// the next layer's reads are fence-ordered. No strict join: `out` is
   /// entirely task-written and must only be read (and `activations`/`out`
   /// only freed) after the caller's join(). Aggregate counters equal
@@ -73,26 +75,21 @@ class DenseLayer {
                          .affinity = true}) const;
 
   /// The weights packed tile-major for tile dimension `s` (sqrt of the
-  /// device's m), built lazily on first use and cached — packed tile
-  /// addresses are stable across forwards, and the resident keys stay the
-  /// row-major weight addresses either way, so residency identity is
-  /// path-invariant. Call from the submit thread only (same discipline as
-  /// forward itself).
+  /// device's m), built lazily on first use and cached; every forward
+  /// streams them. The resident keys stay the row-major weight addresses
+  /// (weights_key), so residency identity does not depend on the cache.
+  /// Call from the submit thread only (same discipline as forward
+  /// itself).
   const TiledMatrix<double>& tiled_weights(std::size_t s) const;
 
  private:
   /// Resident-tile identity of weight tile origin (kb, jb): the row-major
-  /// weights storage address, shared by the row-major and tile-major
-  /// paths so hits survive path changes.
+  /// weights storage address, stable across rebuilds of the tile-major
+  /// cache.
   linalg::TileKeyFn weights_key() const;
 
-  /// True when every forward dimension is tile-aligned for `s`, i.e. the
-  /// tile-major fast path charges exactly what the row-major fast path
-  /// does (the ragged scratch path keeps its own accounting).
-  bool tile_aligned(std::size_t s, std::size_t batch_rows) const {
-    return batch_rows % s == 0 && weights_.rows() % s == 0 &&
-           weights_.cols() % s == 0;
-  }
+  /// `opts` with the tile keys defaulted to weights_key().
+  linalg::PoolMatmulOptions keyed(linalg::PoolMatmulOptions opts) const;
 
   Matrix<double> weights_;
   std::vector<double> bias_;

@@ -541,4 +541,46 @@ TEST(Residency, MlpForwardsKeepLayerChainsResident) {
             single.counters().latency_time);
 }
 
+// The Mlp pass forwards every dealing option to each layer's product,
+// split_chains included. Layer 1's chain is 4 tiles deep, above the
+// cache's 3; split, each of the 2 lanes keeps half of it plus one of
+// layer 2's two tiles, so the second request is all resident hits — and
+// the outputs still equal the serial forward bit for bit (integer-valued
+// weights keep the split combine exact).
+TEST(Residency, MlpSplitChainsServeLayersDeeperThanTheCache) {
+  const std::size_t s = 4;
+  // A load outweighs the lanes' CPU work (combines, epilogues), so the
+  // dealer follows the resident tiles.
+  const std::uint64_t ell = 1000;
+  tcu::util::Xoshiro256 rng(71);
+  tcu::nn::Mlp mlp;
+  const std::size_t widths[] = {4 * s, s, 2 * s};
+  for (std::size_t l = 0; l + 1 < std::size(widths); ++l) {
+    std::vector<double> bias(widths[l + 1]);
+    for (auto& v : bias) v = static_cast<double>(rng.uniform_int(-2, 2));
+    mlp.add_layer(tcu::nn::DenseLayer(
+        random_int_matrix(widths[l], widths[l + 1], 72 + l), bias));
+  }
+  auto batch = random_int_matrix(2 * s, 4 * s, 75);
+
+  Device<double> single({.m = 16, .latency = ell});
+  const Matrix<double> expect = mlp.forward(single, batch.view());
+
+  DevicePool<double> pool(2, {.m = 16, .latency = ell, .resident_tiles = 3});
+  PoolExecutor<double> exec(pool);
+  const tcu::linalg::PoolMatmulOptions split{.affinity = true,
+                                             .split_chains = true};
+  EXPECT_EQ(mlp.forward(exec, batch.view(), split), expect);
+  const Counters first = pool.aggregate();
+  EXPECT_EQ(mlp.forward(exec, batch.view(), split), expect);
+  const Counters agg = pool.aggregate();
+  // Second request: every tensor call hits a resident tile.
+  EXPECT_EQ(agg.latency_time, first.latency_time);
+  EXPECT_EQ(agg.resident_hits - first.resident_hits,
+            agg.tensor_calls - first.tensor_calls);
+  EXPECT_EQ(agg.tensor_calls - first.tensor_calls, 6u);
+  EXPECT_GT(pool.unit(0).counters().tensor_calls, 0u);
+  EXPECT_GT(pool.unit(1).counters().tensor_calls, 0u);
+}
+
 }  // namespace

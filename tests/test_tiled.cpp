@@ -78,6 +78,23 @@ TEST(TiledMatrix, PackUnpackRoundTripsAlignedAndRagged) {
         EXPECT_EQ(packed.at(i, j), src(i, j));
       }
     }
+    // Strided views (stride > cols) on both sides: a window of a wider
+    // matrix packs to the same tiles and unpacks back into a window,
+    // leaving the elements around it untouched.
+    auto wide = random_matrix(r + 3, c + 5, 150 + r * 31 + c);
+    const auto window = wide.view().subview(2, 3, r, c);
+    const auto from_window = TiledMatrix<double>::pack(window.as_const(), s);
+    EXPECT_EQ(from_window.unpack(), tcu::materialize(window));
+    const Matrix<double> before = wide;
+    from_window.unpack_into(wide.view().subview(1, 4, r, c));
+    for (std::size_t i = 0; i < wide.rows(); ++i) {
+      for (std::size_t j = 0; j < wide.cols(); ++j) {
+        const bool inside = i >= 1 && i < 1 + r && j >= 4 && j < 4 + c;
+        EXPECT_EQ(wide(i, j),
+                  inside ? from_window.at(i - 1, j - 4) : before(i, j))
+            << i << "," << j;
+      }
+    }
   }
 }
 
@@ -169,7 +186,7 @@ TEST(TiledMatmul, FullyTiledMatchesRowMajor) {
     expect_counters_equal(tiled.counters(), row.counters(),
                           "fully tiled serial");
   }
-  // Ragged: the containers' zero padding stands in for the scratch path;
+  // Ragged: the containers' zero padding supplies the padded strips;
   // values match exactly (padding contributes exact zeros in the same
   // k-sequential order).
   {
