@@ -114,12 +114,13 @@ void pad(Operand<View, Tiled>& op, bool ragged, std::size_t s) {
 /// is ragged, C when r % s != 0 — each once, into a zero-padded
 /// TiledMatrix: inputs are packed (`pack_inputs`, pack_cost each) and a
 /// padded C is copied back row range by row range as its strips finish.
-/// Rows never are: every call streams any number of rows.
+/// Rows never are: every call streams any number of rows. The plan is a
+/// small value — geometry and the three operands; a pool task carries its
+/// own copy (sharing only the packed temporaries) plus its strip's keys.
 template <typename T>
 struct Theorem2 {
   Theorem2(std::size_t tile, InOperand<T> a_, InOperand<T> b_,
-           OutOperand<T> c_, bool keyed, const TileKeyFn& tile_key,
-           bool pad_c)
+           OutOperand<T> c_, bool pad_c)
       : s(tile),
         rows(a_.rows()),
         cols(b_.cols()),
@@ -138,21 +139,22 @@ struct Theorem2 {
     for (const InOperand<T>* in : {&a, &b}) {
       if (in->packed) pack_ops += in->packed->pack_cost();
     }
-    // Keys name the caller's B: a packed temporary never lends its own
-    // addresses as residency identities.
-    if (keyed) {
-      chains.resize(strips);
-      for (std::size_t jt = 0; jt < strips; ++jt) {
-        chains[jt].reserve(k_tiles);
-        for (std::size_t kt = 0; kt < k_tiles; ++kt) {
-          chains[jt].push_back(
-              tile_key ? tile_key(kt * s, jt * s)
-                       : reinterpret_cast<std::uintptr_t>(
-                             b.packed || !b.tiled ? &b.view(kt * s, jt * s)
-                                                  : b.tiled->tile_data(kt, jt)));
-        }
-      }
+  }
+
+  /// The resident keys of strip jt's chain, one per tile. They name the
+  /// caller's B: a packed temporary never lends its own addresses as
+  /// residency identities.
+  std::vector<std::uint64_t> keys(std::size_t jt,
+                                  const TileKeyFn& tile_key) const {
+    std::vector<std::uint64_t> chain(k_tiles);
+    for (std::size_t kt = 0; kt < k_tiles; ++kt) {
+      chain[kt] = tile_key ? tile_key(kt * s, jt * s)
+                           : reinterpret_cast<std::uintptr_t>(
+                                 b.packed || !b.tiled
+                                     ? &b.view(kt * s, jt * s)
+                                     : b.tiled->tile_data(kt, jt));
     }
+    return chain;
   }
 
   /// Fill the padded inputs from the caller's views: `pack_ops` of CPU
@@ -164,14 +166,16 @@ struct Theorem2 {
   }
 
   /// Tiles [kt0, kt1) of strip jt's chain over rows [r0, r0 + out.rows)
-  /// of A, accumulated into `out` from scratch.
+  /// of A, accumulated into `out` from scratch; `keys[kt - kt0]` tags
+  /// tile kt (null: untagged calls).
   void chain(Device<T>& dev, MatrixView<T> out, std::size_t jt,
-             std::size_t r0, std::size_t kt0, std::size_t kt1) const {
+             std::size_t r0, std::size_t kt0, std::size_t kt1,
+             const std::uint64_t* keys) const {
     for (std::size_t kt = kt0; kt < kt1; ++kt) {
       const ConstMatrixView<T> x = a.block(r0, out.rows, kt, s, s);
       const ConstMatrixView<T> w = b.block(kt * s, s, jt, s, s);
-      if (!chains.empty()) {
-        dev.gemm_resident(chains[jt][kt], x, w, out, kt != kt0);
+      if (keys) {
+        dev.gemm_resident(keys[kt - kt0], x, w, out, kt != kt0);
       } else {
         // tcu-lint: untagged-ok(untagged product: matmul_tcu_into's cold-stream baseline, or a pool task dealt by plain submit)
         dev.gemm(x, w, out, kt != kt0);
@@ -183,9 +187,9 @@ struct Theorem2 {
   /// whole chain, then, for a padded C, those rows copied back to the
   /// caller's C one contiguous segment at a time (charged to `dev`).
   void strip(Device<T>& dev, std::size_t jt, std::size_t r0,
-             std::size_t nr) const {
+             std::size_t nr, const std::uint64_t* keys) const {
     const MatrixView<T> out = c.block(r0, nr, jt, s, s);
-    chain(dev, out, jt, r0, 0, k_tiles);
+    chain(dev, out, jt, r0, 0, k_tiles, keys);
     if (!c.packed) return;
     const std::size_t w = width(jt);
     for (std::size_t i = 0; i < nr; ++i) {
@@ -203,17 +207,20 @@ struct Theorem2 {
   std::size_t s, rows, cols, k_tiles, strips;
   InOperand<T> a, b;
   OutOperand<T> c;
-  std::vector<std::vector<std::uint64_t>> chains;  ///< per strip; empty = untagged
   std::uint64_t pack_ops = 0;  ///< CPU work of pack_inputs
 };
 
-/// Run a planned product strip by strip on one device.
+/// Run a planned product strip by strip on one device: untagged calls,
+/// or every tile keyed (`Theorem2::keys`).
 template <typename T>
-void run_serial(Device<T>& dev, const Theorem2<T>& plan) {
+void run_serial(Device<T>& dev, const Theorem2<T>& plan, bool keyed,
+                const TileKeyFn& tile_key = {}) {
   plan.pack_inputs();
   dev.charge_cpu(plan.pack_ops);
   for (std::size_t jt = 0; jt < plan.strips; ++jt) {
-    plan.strip(dev, jt, 0, plan.rows);
+    const std::vector<std::uint64_t> keys =
+        keyed ? plan.keys(jt, tile_key) : std::vector<std::uint64_t>{};
+    plan.strip(dev, jt, 0, plan.rows, keyed ? keys.data() : nullptr);
   }
 }
 
@@ -235,8 +242,8 @@ void matmul_tcu_into(Device<T>& dev, std::type_identity_t<InOperand<T>> A,
   // must not borrow residency from earlier work either.
   check::AllowUntaggedClobber allow_clobber;
   detail::run_serial(dev, detail::Theorem2<T>(dev.tile_dim(), A, B, C,
-                                              /*keyed=*/false, {},
-                                              /*pad_c=*/true));
+                                              /*pad_c=*/true),
+                     /*keyed=*/false);
 }
 
 /// Allocating wrapper for `matmul_tcu_into`.
@@ -269,8 +276,8 @@ void matmul_tcu_resident_into(Device<T>& dev,
                               std::type_identity_t<OutOperand<T>> C,
                               const TileKeyFn& tile_key = {}) {
   detail::run_serial(dev, detail::Theorem2<T>(dev.tile_dim(), A, B, C,
-                                              /*keyed=*/true, tile_key,
-                                              /*pad_c=*/true));
+                                              /*pad_c=*/true),
+                     /*keyed=*/true, tile_key);
 }
 
 /// Allocating wrapper for `matmul_tcu_resident_into`.

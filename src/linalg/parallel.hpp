@@ -60,7 +60,8 @@ struct PoolMatmulOptions {
 
   /// Split each strip's chain at tile granularity: one task per B tile,
   /// each computing a partial product, and one CPU continuation per
-  /// strip that sums the strip's partials once its tile tasks retire.
+  /// strip that sums the strip's partials once its tile tasks retire
+  /// (charged to the shared CPU, so the dealing follows the tiles alone).
   /// This lets a deep B (chain k > 1) both parallelize across lanes and
   /// fit each lane's share of the tiles in a cache with c < k, so
   /// repeated products pay each tile's load once per owning lane instead
@@ -123,11 +124,15 @@ std::uint64_t strip_tile_cost(const Device<T>& unit, std::uint64_t rows,
 /// per strip, gated on that strip's tile tickets, sums the partials in
 /// ascending tile order into C — a deterministic, p-independent summation
 /// (bit-identical to the same mode on one unit; exact for integral T).
+/// The combines are charged to the shared CPU and declare no lane cost,
+/// like the pack task: a single strip's combine would otherwise add
+/// k_tiles * rows * w ops to one lane's projection, which outbids the hit
+/// credit (l per tile) of the next split product and deals its tiles away
+/// from the lanes that hold them.
 template <typename T>
-void deal_split(PoolExecutor<T>& exec,
-                const std::shared_ptr<const Theorem2<T>>& plan,
+void deal_split(PoolExecutor<T>& exec, const Theorem2<T>& pr,
+                const std::vector<std::vector<std::uint64_t>>& chains,
                 const TaskDeps& packed, std::vector<TaskDeps>& done) {
-  const Theorem2<T>& pr = *plan;
   const std::uint64_t tile_cost =
       strip_tile_cost(exec.pool().unit(0), pr.rows, /*affinity=*/true);
   auto partials = std::make_shared<std::vector<Matrix<T>>>(
@@ -135,12 +140,12 @@ void deal_split(PoolExecutor<T>& exec,
   for (std::size_t kt = 0; kt < pr.k_tiles; ++kt) {
     for (std::size_t jt = 0; jt < pr.strips; ++jt) {
       Matrix<T>* part = &(*partials)[kt * pr.strips + jt];
+      const std::uint64_t key = chains[jt][kt];
+      auto task = [pr, partials, part, kt, jt, key](Device<T>& unit) {
+        pr.chain(unit, part->view(), jt, 0, kt, kt + 1, &key);
+      };
       done[jt].after.push_back(
-          exec.submit_affine(tile_cost, {pr.chains[jt][kt]}, packed,
-                             [plan, partials, part, kt, jt](Device<T>& unit) {
-                               plan->chain(unit, part->view(), jt, 0, kt,
-                                           kt + 1);
-                             })
+          exec.submit_affine(tile_cost, {key}, packed, std::move(task))
               .serial);
     }
   }
@@ -148,10 +153,9 @@ void deal_split(PoolExecutor<T>& exec,
     const std::size_t w = pr.width(jt);
     const std::uint64_t cost =
         static_cast<std::uint64_t>(pr.k_tiles) * pr.rows * w;
+    exec.pool().charge_cpu(cost);
     const TaskTicket combine = exec.submit_cpu(
-        cost, std::move(done[jt]),
-        [plan, partials, jt, w, cost](Device<T>& unit) {
-          const Theorem2<T>& pr = *plan;
+        0, std::move(done[jt]), [pr, partials, jt, w](Device<T>&) {
           const MatrixView<T> out = pr.c.block(0, pr.rows, jt, pr.s, w);
           for (std::size_t kt = 0; kt < pr.k_tiles; ++kt) {
             const Matrix<T>& part = (*partials)[kt * pr.strips + jt];
@@ -161,7 +165,6 @@ void deal_split(PoolExecutor<T>& exec,
               }
             }
           }
-          unit.charge_cpu(cost);
         });
     done[jt] = TaskDeps{{combine.serial}};
   }
@@ -198,20 +201,26 @@ std::vector<TaskDeps> matmul_tcu_pool_strips(
   const Device<T>& unit0 = pool.unit(0);
   const std::size_t s = unit0.tile_dim();
   const bool split = opts.affinity && opts.split_chains && A.cols() > s;
-  auto plan = std::make_shared<const detail::Theorem2<T>>(
-      s, A, B, C, opts.affinity, opts.tile_key, /*pad_c=*/!split);
-  const detail::Theorem2<T>& pr = *plan;
+  // Each task copies the plan (sharing only packed temporaries) and its
+  // strip's keys, so no object or reference count is shared by the lanes.
+  const detail::Theorem2<T> pr(s, A, B, C, /*pad_c=*/!split);
   TaskDeps packed;
   if (pr.pack_ops != 0) {
     pool.charge_cpu(pr.pack_ops);
     packed.after.push_back(
         exec.submit_cpu(0, TaskDeps{},
-                        [plan](Device<T>&) { plan->pack_inputs(); })
+                        [pr](Device<T>&) { pr.pack_inputs(); })
             .serial);
+  }
+  std::vector<std::vector<std::uint64_t>> chains;
+  if (opts.affinity) {
+    for (std::size_t jt = 0; jt < pr.strips; ++jt) {
+      chains.push_back(pr.keys(jt, opts.tile_key));
+    }
   }
   std::vector<TaskDeps> done(pr.strips);
   if (split) {
-    detail::deal_split(exec, plan, packed, done);
+    detail::deal_split(exec, pr, chains, packed, done);
     return done;
   }
 
@@ -229,11 +238,13 @@ std::vector<TaskDeps> matmul_tcu_pool_strips(
     const std::uint64_t cost =
         pr.k_tiles * detail::strip_tile_cost(unit0, nr, opts.affinity);
     for (std::size_t jt = 0; jt < pr.strips; ++jt) {
-      auto task = [plan, jt, r0, nr](Device<T>& unit) {
-        plan->strip(unit, jt, r0, nr);
+      auto task = [pr, keys = opts.affinity ? chains[jt]
+                                            : std::vector<std::uint64_t>{},
+                   jt, r0, nr](Device<T>& unit) {
+        pr.strip(unit, jt, r0, nr, keys.empty() ? nullptr : keys.data());
       };
       done[jt].after.push_back(
-          (opts.affinity ? exec.submit_affine(cost, pr.chains[jt], packed,
+          (opts.affinity ? exec.submit_affine(cost, chains[jt], packed,
                                               std::move(task))
                          : exec.submit(cost, packed, std::move(task)))
               .serial);

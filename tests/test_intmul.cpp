@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "core/costs.hpp"
 #include "intmul/mul.hpp"
 #include "util/rng.hpp"
@@ -192,19 +195,27 @@ TEST(IntMulProperties, SquaresAreConsistentAcrossAlgorithms) {
 // ----------------------------------------------------------------- costs
 
 TEST(IntMulCost, SchoolbookTracksTheorem9) {
-  // The sweep starts where the quadratic term dominates the banded
-  // operand's Theta(n s) setup (the Karatsuba sweep below uses the same
-  // sizes); below 16384 bits that lower-order work bends the fit.
+  // Theorem 9 drops the banded operand's Theta(n s) setup, which the
+  // kernel charges as CPU work: (n'+s-1)*s window entries plus n' entries
+  // of B', for n' limbs padded to a multiple of s. It is not dominated
+  // while n' < m, so it is taken out of the measured time (in the model's
+  // units; the prediction's scale is arbitrary) and the rest must track
+  // the theorem.
   std::vector<double> predicted, measured;
-  for (std::size_t bits : {16384u, 32768u, 65536u, 131072u}) {
+  for (std::size_t bits : {4096u, 8192u, 16384u, 32768u}) {
     tcu::util::Xoshiro256 rng(90 + bits);
     const BigInt a = BigInt::random_bits(bits, rng);
     const BigInt b = BigInt::random_bits(bits, rng);
     Device<std::int64_t> dev({.m = 256, .latency = 20});
     (void)mul_schoolbook_tcu(dev, a, b);
+    const std::uint64_t s = dev.tile_dim();
+    const std::uint64_t limbs = std::max(a.limbs().size(), b.limbs().size());
+    const std::uint64_t np = (limbs + s - 1) / s * s;
+    const std::uint64_t band_setup = (np + s - 1) * s + np;
     predicted.push_back(tcu::costs::thm9_intmul(
         static_cast<double>(bits), 64.0, 256.0, 20.0));
-    measured.push_back(static_cast<double>(dev.counters().time()));
+    measured.push_back(
+        static_cast<double>(dev.counters().time() - band_setup));
   }
   EXPECT_LT(tcu::util::ratio_spread(predicted, measured), 2.5);
   auto fit = tcu::util::fit_power_law(predicted, measured);

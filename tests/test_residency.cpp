@@ -547,11 +547,16 @@ TEST(Residency, MlpForwardsKeepLayerChainsResident) {
 // layer 2's two tiles, so the second request is all resident hits — and
 // the outputs still equal the serial forward bit for bit (integer-valued
 // weights keep the split combine exact).
+//
+// Layer 1's ReLU epilogue is lane CPU work (2 * 8 * s ops) on the lane
+// that took the first tile, and each of layer 2's tiles is one 8-row call
+// (8 * s + l). The first request spreads layer 2's two tiles over both
+// lanes only when that call outweighs the epilogue, l >= 8 * s = 32;
+// below it, the least-loaded dealer rightly puts both on the other lane,
+// whose cache then evicts a layer-1 tile.
 TEST(Residency, MlpSplitChainsServeLayersDeeperThanTheCache) {
   const std::size_t s = 4;
-  // A load outweighs the lanes' CPU work (combines, epilogues), so the
-  // dealer follows the resident tiles.
-  const std::uint64_t ell = 1000;
+  const std::uint64_t ell = 64;
   tcu::util::Xoshiro256 rng(71);
   tcu::nn::Mlp mlp;
   const std::size_t widths[] = {4 * s, s, 2 * s};
